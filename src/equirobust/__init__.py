@@ -26,13 +26,9 @@ from .errors import (
 from .reports import RobustnessReport, json_dumps_g17
 from .geom2d import (
     ConvexPolygon2,
-    Line2,
     Ray2,
-    area,
     centroid,
-    clip_halfplane,
     clip_halfplane_nd,
-    perimeter,
     polygon_from_json,
     polygon_new,
     polygon_to_json,
@@ -103,14 +99,10 @@ __all__ = [
     "RobustnessReport",
     "json_dumps_g17",
     "ConvexPolygon2",
-    "Line2",
     "Ray2",
     "polygon_new",
     "regular_ngon",
-    "area",
-    "perimeter",
     "centroid",
-    "clip_halfplane",
     "clip_halfplane_nd",
     "polygon_to_json",
     "polygon_from_json",

@@ -10,7 +10,10 @@ Exit codes: 0 success (including an explicit ``no_reduction_found`` status),
 failure.  Error payloads go to stderr as JSON with a ``status`` field
 mirroring the exit code.  All numeric output carries 17 significant digits;
 identical invocations produce byte-identical output.  The geometric
-tolerance can be overridden through the ``EQ_EPS`` environment variable.
+tolerance can be overridden through the ``EQ_EPS`` environment variable: it is
+read once at import and scales with each shape (polygon diameter, polyhedron
+bounding-box diagonal).  A value that is not a positive finite number fails at
+import with a Python traceback, before the exit codes above apply.
 """
 
 from __future__ import annotations

@@ -151,7 +151,7 @@ def classify3(P: ConvexPolyhedron3, p: Sequence[float]) -> EquilibriumSet3:
     for k, foot, flag in _stable_candidates(P, q):
         points.append(EquilibriumPoint3("stable", tuple(foot), k, flag))
 
-    for (i, j), (f1, f2) in sorted(P.edge_faces.items()):
+    for (i, j), (f1, f2) in zip(P.edges, P.edge_faces):
         a, b = v[i], v[j]
         L = float(np.linalg.norm(b - a))
         u = (b - a) / L
@@ -391,7 +391,8 @@ def example_truncated_tetra_fixture() -> tuple:
     P = platonic("tetra")
     o = np.zeros(3)
     v = P.coords
-    nbrs = P.vertex_neighbors[0]
+    tails, heads, _, starts = P.slot_arrays
+    nbrs = np.sort(heads[tails == 0])
     cut_pts = np.array(
         [v[0] + f * (v[j] - v[0]) for f, j in zip(_FIXTURE_FRACTIONS, nbrs)]
     )
@@ -403,7 +404,6 @@ def example_truncated_tetra_fixture() -> tuple:
 
     # The cut chord on each touched face must stay outside the face incircle.
     a_all, nu_all, _, _ = P.edge_frames
-    _, _, _, starts = P.slot_arrays
     for k in range(len(P.faces)):
         if 0 not in P.faces[k]:
             continue

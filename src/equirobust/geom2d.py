@@ -50,8 +50,8 @@ def _shoelace(pts: Sequence[Point2]) -> float:
     return 0.5 * total
 
 
-class Line2:
-    """Infinite oriented line given by an origin point and a unit direction."""
+class Ray2:
+    """Half line: origin plus nonnegative multiples of a unit direction."""
 
     __slots__ = ("origin", "direction")
 
@@ -60,31 +60,12 @@ class Line2:
         dx, dy = float(direction[0]), float(direction[1])
         norm = math.hypot(dx, dy)
         if norm == 0.0:
-            raise ValueError("line direction must be nonzero")
+            raise ValueError("ray direction must be nonzero")
         self.origin = (ox, oy)
         self.direction = (dx / norm, dy / norm)
 
-    @classmethod
-    def through(cls, p: Point2, q: Point2) -> "Line2":
-        return cls(p, (q[0] - p[0], q[1] - p[1]))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Line2(origin={self.origin}, direction={self.direction})"
-
-
-class Ray2(Line2):
-    """Half line: origin plus nonnegative multiples of a unit direction."""
-
-    __slots__ = ()
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Ray2(origin={self.origin}, direction={self.direction})"
-
-
-def dist_point_to_line(p: Point2, line: Line2) -> float:
-    """Perpendicular distance from ``p`` to an infinite line."""
-    dx, dy = line.direction
-    return abs(_cross(dx, dy, p[0] - line.origin[0], p[1] - line.origin[1]))
 
 
 def dist_point_to_ray(p: Point2, ray: Ray2) -> float:
@@ -232,14 +213,6 @@ def polygon_new(points: Iterable[Sequence[float]]) -> ConvexPolygon2:
     return ConvexPolygon2(points)
 
 
-def area(P: ConvexPolygon2) -> float:
-    return P.area
-
-
-def perimeter(P: ConvexPolygon2) -> float:
-    return P.perimeter
-
-
 def centroid(P: ConvexPolygon2) -> Point2:
     return P.centroid
 
@@ -326,28 +299,6 @@ def _clip_ring(pts: Sequence[Point2], nx: float, ny: float, d: float, eps: float
             t = si / (si - sj)
             out.append((pts[i][0] + t * (pts[j][0] - pts[i][0]), pts[i][1] + t * (pts[j][1] - pts[i][1])))
     return out
-
-
-def clip_halfplane(P: ConvexPolygon2, line: Line2, keep_side: int) -> Optional[ConvexPolygon2]:
-    """Intersect ``P`` with a closed half plane bounded by ``line``.
-
-    ``keep_side=+1`` keeps the left side of the oriented line, ``-1`` the
-    right side.  Returns ``P`` itself when the cut misses, ``None`` when the
-    remainder collapses below tolerance.
-    """
-    if keep_side not in (+1, -1):
-        raise ValueError("keep_side must be +1 or -1")
-    dx, dy = line.direction
-    ox, oy = line.origin
-    if keep_side == +1:
-        nx, ny = dy, -dx
-    else:
-        nx, ny = -dy, dx
-    d = nx * ox + ny * oy
-    ring = _clip_ring(P.vertices, nx, ny, d, P.eps)
-    if ring is None:
-        return P
-    return _clean_ring(ring)
 
 
 def clip_halfplane_nd(P: ConvexPolygon2, nx: float, ny: float, d: float) -> Optional[ConvexPolygon2]:

@@ -13,7 +13,10 @@ solids, prisms, capped cylinders and ellipsoid meshes.
 
 Internally each polyhedron caches "slot" arrays — one slot per (face, edge)
 incidence, faces concatenated in order — so clipping and equilibrium probes
-run as flat numpy passes instead of per-face Python loops.
+run as flat numpy passes instead of per-face Python loops.  All topology
+comes from the slot arrays: the undirected edges and each slot's edge from
+one ``edge_pairing``, vertex neighbors from the heads of each vertex's slots,
+and fan triangles from each face's inner slots.
 """
 
 from __future__ import annotations
@@ -115,48 +118,53 @@ class ConvexPolyhedron3:
         return a, nu, u, lengths
 
     @cached_property
-    def edge_faces(self) -> dict:
-        """Map sorted vertex pair -> (face index, face index)."""
-        seen: dict = {}
-        tails, heads, slot_face, _ = self.slot_arrays
-        for t, h, k in zip(tails.tolist(), heads.tolist(), slot_face.tolist()):
-            key = (t, h) if t < h else (h, t)
-            seen.setdefault(key, []).append(k)
-        return {k: tuple(v) for k, v in seen.items()}
+    def edge_pairing(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pairs, slot_edge): the sorted (E, 2) array of undirected (low, high)
+        vertex pairs, and per slot the row of its edge in ``pairs``."""
+        tails, heads, _, _ = self.slot_arrays
+        nv = len(self.vertices)
+        codes, slot_edge = np.unique(
+            np.minimum(tails, heads) * nv + np.maximum(tails, heads), return_inverse=True
+        )
+        return np.column_stack([codes // nv, codes % nv]), slot_edge
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Undirected edges as sorted index pairs, each shared by two faces."""
-        return tuple(sorted(self.edge_faces))
+        return tuple(map(tuple, self.edge_pairing[0].tolist()))
 
     @cached_property
-    def vertex_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[set] = [set() for _ in self.vertices]
-        for a, b in self.edges:
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        return tuple(tuple(sorted(s)) for s in nbrs)
+    def edge_faces(self) -> np.ndarray:
+        """(E, 2) faces on each edge of ``edges``, in slot order."""
+        _, slot_edge = self.edge_pairing
+        _, _, slot_face, _ = self.slot_arrays
+        return slot_face[np.argsort(slot_edge, kind="stable")].reshape(-1, 2)
 
     @cached_property
     def vertex_fan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat neighbor structure: (unit edge dirs, base dots, per-vertex starts)."""
-        counts = [len(s) for s in self.vertex_neighbors]
-        owner = np.repeat(np.arange(len(self.vertices)), counts)
-        flat = np.asarray([j for s in self.vertex_neighbors for j in s], dtype=np.intp)
+        """Flat neighbor structure: (unit edge dirs, base dots, per-vertex starts).
+
+        The neighbors of a vertex are the heads of its slots, in ascending order.
+        """
+        tails, heads, _, _ = self.slot_arrays
+        order = np.lexsort((heads, tails))
+        owner, flat = tails[order], heads[order]
         v = self.coords
         rel = v[flat] - v[owner]
         rel /= np.linalg.norm(rel, axis=1)[:, None]
         base = np.einsum("ij,ij->i", rel, v[owner])
+        counts = np.bincount(tails, minlength=len(self.vertices))
         starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
         return rel, base, starts
 
     @cached_property
     def fan_triangles(self) -> np.ndarray:
-        tris = []
-        for face in self.faces:
-            for i in range(1, len(face) - 1):
-                tris.append((face[0], face[i], face[i + 1]))
-        return np.asarray(tris, dtype=np.intp)
+        """(T, 3) fan triangles (face[0], face[i], face[i + 1]) from each face's inner slots."""
+        tails, heads, slot_face, starts = self.slot_arrays
+        inner = np.ones(len(tails), dtype=bool)
+        inner[starts[:-1]] = False
+        inner[starts[1:] - 1] = False
+        return np.column_stack([tails[starts[slot_face[inner]]], tails[inner], heads[inner]])
 
     @cached_property
     def mass_properties(self) -> tuple[float, Point3, float]:
@@ -450,21 +458,17 @@ def clip_halfspace3(
         return None
 
     tails, heads, _, starts = P.slot_arrays
+    pairs, slot_edge = P.edge_pairing
     nv = len(v)
     below = s <= eps  # kept, including on-plane vertices
     st, sh = s[tails], s[heads]
     crossing = ((st > eps) & (sh < -eps)) | ((st < -eps) & (sh > eps))
 
     # One crossing point per undirected edge, shared by both incident faces.
-    edge_code = np.where(tails < heads, tails * nv + heads, heads * nv + tails)
-    cross_codes = np.unique(edge_code[crossing])
-    code_tail = cross_codes // nv
-    code_head = cross_codes % nv
-    t = s[code_tail] / (s[code_tail] - s[code_head])
-    new_pts = v[code_tail] + t[:, None] * (v[code_head] - v[code_tail])
-    cross_index = np.full(len(edge_code), -1, dtype=np.intp)
-    rank = {int(c): i for i, c in enumerate(cross_codes)}
-    cross_index[crossing] = [rank[int(c)] for c in edge_code[crossing]]
+    cross_edges = np.unique(slot_edge[crossing])
+    lo, hi = pairs[cross_edges].T
+    t = s[lo] / (s[lo] - s[hi])
+    new_pts = v[lo] + t[:, None] * (v[hi] - v[lo])
 
     # Emit, per slot and in cycle order: the tail vertex if kept, then the
     # crossing point if the edge is cut.
@@ -473,7 +477,7 @@ def clip_halfspace3(
     pos = np.cumsum(counts) - counts
     out = np.empty(int(counts.sum()), dtype=np.intp)
     out[pos[emit_tail]] = tails[emit_tail]
-    out[(pos + emit_tail)[crossing]] = nv + cross_index[crossing]
+    out[(pos + emit_tail)[crossing]] = nv + np.searchsorted(cross_edges, slot_edge[crossing])
 
     face_counts = np.add.reduceat(counts, starts[:-1]) if len(starts) > 1 else np.array([], dtype=np.intp)
     bounds = np.concatenate([[0], np.cumsum(face_counts)])

@@ -27,10 +27,9 @@ import numpy as np
 
 from . import tol
 from .equilib2d import equilibria, stable_count_batch
-from .errors import DegenerateConfiguration, TooFewStable
+from .errors import DegenerateConfiguration, ReferenceOutside, TooFewStable
 from .geom2d import (
     ConvexPolygon2,
-    Line2,
     Ray2,
     area_outside_disk,
     clip_halfplane_nd,
@@ -251,12 +250,16 @@ def rho_ex_exact(P: ConvexPolygon2, p: Sequence[float]) -> RobustnessReport:
 
 
 def _piece_stable(P: ConvexPolygon2, piece: Optional[ConvexPolygon2]) -> Optional[int]:
-    """Stable count of a piece at its own centroid; ``None`` when unusable."""
+    """Stable count of a piece at its own centroid; ``None`` when unusable.
+
+    Unusable covers a missing or unchanged piece, a sliver whose centroid lies
+    within tolerance of its boundary, and a degenerate classification.
+    """
     if piece is None or piece is P:
         return None
     try:
         eq = equilibria(piece, piece.centroid)
-    except DegenerateConfiguration:
+    except (DegenerateConfiguration, ReferenceOutside):
         return None
     if eq.any_degenerate:
         return None

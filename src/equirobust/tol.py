@@ -1,11 +1,16 @@
 """Geometric tolerance policy.
 
 All within-tolerance tests use a single absolute epsilon interpreted on
-coordinates scaled to unit diameter, i.e. a length comparison on a body of
-diameter D uses ``EPS_GEOM * D``.  The default can be overridden through the
-``EQ_EPS`` environment variable (read once at import time).
+coordinates scaled to unit size: a length comparison uses ``EPS_GEOM`` times
+the diameter of a polygon, or times the bounding-box diagonal of a polyhedron.
+The default ``1e-9`` can be overridden through the ``EQ_EPS`` environment
+variable, which is read once, when this module is imported; changing it later
+has no effect.  A value that is not a positive finite number raises
+``ValueError`` at import, so the ``equirobust`` command fails with a Python
+traceback before its exit-code mapping applies.
 """
 
+import math
 import os
 
 
@@ -14,8 +19,8 @@ def _eps_from_env() -> float:
     if raw is None:
         return 1e-9
     value = float(raw)
-    if not value > 0.0:
-        raise ValueError("EQ_EPS must be a positive number")
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError("EQ_EPS must be a positive finite number")
     return value
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -199,3 +200,13 @@ class TestConsoleEntry:
         )
         assert r.returncode == 0
         assert json.loads(r.stdout)["S"] == 8
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_eq_eps_fails_at_import(self, value):
+        r = subprocess.run(
+            [sys.executable, "-m", "equirobust.cli", "analyze", "--builtin", "square"],
+            capture_output=True, text=True, env={**os.environ, "EQ_EPS": value},
+        )
+        assert r.returncode != 0
+        assert r.stdout == ""
+        assert "ValueError: EQ_EPS must be a positive finite number" in r.stderr

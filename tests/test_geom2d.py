@@ -6,12 +6,9 @@ import pytest
 from equirobust.errors import DegenerateInput, NonConvexInput
 from equirobust.geom2d import (
     ConvexPolygon2,
-    Line2,
     Ray2,
     area_outside_disk,
-    clip_halfplane,
     clip_halfplane_nd,
-    dist_point_to_line,
     dist_point_to_ray,
     polygon_from_json,
     polygon_new,
@@ -115,18 +112,18 @@ class TestClip:
 
     def test_cut_missing_polygon_returns_same_object(self):
         p = unit_square()
-        line = Line2((0.0, -1.0), (1.0, 0.0))
-        assert clip_halfplane(p, line, keep_side=+1) is p
+        # Keep y >= -1, which holds the whole square.
+        assert clip_halfplane_nd(p, 0.0, -1.0, 1.0) is p
 
     def test_cut_swallowing_polygon_returns_none(self):
         p = unit_square()
         assert clip_halfplane_nd(p, 1.0, 0.0, -1.0) is None
 
     def test_keep_side_orientation(self):
+        # The kept side is the one the normal points away from.
         p = unit_square()
-        line = Line2((0.5, 0.0), (0.0, 1.0))  # vertical, pointing up
-        left = clip_halfplane(p, line, keep_side=+1)
-        right = clip_halfplane(p, line, keep_side=-1)
+        left = clip_halfplane_nd(p, 1.0, 0.0, 0.5)
+        right = clip_halfplane_nd(p, -1.0, 0.0, -0.5)
         assert left.centroid[0] < 0.5 < right.centroid[0]
 
     def test_area_additivity(self, rng):
@@ -243,10 +240,6 @@ class TestStripCover:
 
 
 class TestDistances:
-    def test_point_to_line(self):
-        line = Line2((0.0, 0.0), (1.0, 0.0))
-        assert dist_point_to_line((3.0, 2.5), line) == pytest.approx(2.5)
-
     def test_point_to_ray_behind_origin(self):
         ray = Ray2((0.0, 0.0), (1.0, 0.0))
         assert dist_point_to_ray((-3.0, 4.0), ray) == pytest.approx(5.0)

@@ -91,6 +91,15 @@ class TestConstruction:
         with pytest.raises(DegenerateInput):
             polyhedron_new(verts, faces)
 
+    def test_open_surface_rejected(self):
+        # A cube without its top face: every directed edge of the missing
+        # face's rim lacks its reverse.
+        c = platonic("cube")
+        top = max(range(6), key=lambda k: c.plane_normals[k][2])
+        faces = [f for k, f in enumerate(c.faces) if k != top]
+        with pytest.raises(DegenerateInput, match="closed surface"):
+            polyhedron_new(c.vertices, faces)
+
 
 class TestHull:
     def test_interior_point_discarded(self):
@@ -184,6 +193,71 @@ class TestClip:
         assert piece is not None
         assert piece.structural_ok()
         assert volume(piece) == pytest.approx(0.5, abs=1e-12)
+
+
+def _topology_oracle(P):
+    """Edges, faces per edge, sorted vertex neighbors and fan triangles, built
+    from the face cycles with dicts and sets."""
+    edge_faces = {}
+    for k, face in enumerate(P.faces):
+        for i, a in enumerate(face):
+            b = face[(i + 1) % len(face)]
+            edge_faces.setdefault((min(a, b), max(a, b)), []).append(k)
+    nbrs = [set() for _ in P.vertices]
+    for a, b in edge_faces:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    edges = sorted(edge_faces)
+    tris = [[f[0], f[i], f[i + 1]] for f in P.faces for i in range(1, len(f) - 1)]
+    return edges, [edge_faces[e] for e in edges], [sorted(s) for s in nbrs], tris
+
+
+def _topology_bodies():
+    rng = np.random.default_rng(7)
+    bodies = [platonic(name) for name in ("tetra", "cube", "octa", "dodeca", "icosa")]
+    bodies += [generator_prism(k, 1.5) for k in (3, 5, 8)]
+    bodies.append(generator_truncated_cylinder(1.0, 3.0))
+    bodies += [random_hull3(rng, n) for n in (8, 20, 60)]
+    pieces = []
+    for P in bodies[:5] + bodies[-4:]:
+        for _ in range(3):
+            n = rng.standard_normal(3)
+            n /= np.linalg.norm(n)
+            lo, hi = P.support_interval(n)
+            # A generic cut, then cuts 1-4 eps either side of a vertex, where
+            # crossing points land within the clip's merge tolerance.
+            offsets = [float(rng.uniform(lo, hi))]
+            vertex = float(P.coords[int(rng.integers(len(P.vertices)))] @ n)
+            offsets += [vertex + m * P.eps for m in (-4, -3, -2, -1, 1, 2, 3, 4)]
+            for d in offsets:
+                for side in (1, -1):
+                    piece = clip_halfspace3(P, side * n, side * d)
+                    if piece is not None and piece is not P:
+                        pieces.append(piece)
+    return bodies + pieces
+
+
+class TestTopology:
+    def test_slot_derived_topology_matches_oracle(self):
+        for P in _topology_bodies():
+            edges, faces, nbrs, tris = _topology_oracle(P)
+            assert P.edges == tuple(map(tuple, edges))
+            assert P.edge_faces.tolist() == faces
+            assert P.fan_triangles.tolist() == tris
+            pairs, slot_edge = P.edge_pairing
+            tails, heads, _, _ = P.slot_arrays
+            assert np.array_equal(pairs[slot_edge], np.sort(np.column_stack([tails, heads]), axis=1))
+            # Same arithmetic as vertex_fan, applied to the oracle's neighbors.
+            owner = np.repeat(np.arange(len(P.vertices)), [len(s) for s in nbrs])
+            flat = np.asarray([j for s in nbrs for j in s], dtype=np.intp)
+            rel = P.coords[flat] - P.coords[owner]
+            rel /= np.linalg.norm(rel, axis=1)[:, None]
+            base = np.einsum("ij,ij->i", rel, P.coords[owner])
+            starts = np.concatenate([[0], np.cumsum([len(s) for s in nbrs])])
+            got_rel, got_base, got_starts = P.vertex_fan
+            np.testing.assert_array_equal(got_rel, rel)
+            np.testing.assert_array_equal(got_base, base)
+            np.testing.assert_array_equal(got_starts, starts)
 
 
 class TestBoundingBox:

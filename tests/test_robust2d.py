@@ -4,10 +4,12 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from equirobust import robust2d
 from equirobust.errors import DegenerateConfiguration, TooFewStable
-from equirobust.geom2d import polygon_new, regular_ngon, strip_cover_admits
+from equirobust.geom2d import clip_halfplane_nd, polygon_new, regular_ngon, strip_cover_admits
 from equirobust.robust2d import (
     TruncationSample,
+    _piece_stable,
     average_robustness,
     dowker_area,
     dowker_convexity_check,
@@ -376,6 +378,20 @@ class TestSweep:
         polys = [el for el in root.iter() if el.tag.endswith("polygon")]
         assert len(polys) >= 2
         assert 'width="800"' in svg and 'height="600"' in svg
+
+    def test_sliver_with_centroid_near_boundary_is_degenerate(self, monkeypatch):
+        # y <= 2e-9 keeps a valid sliver whose centroid lies within eps of its
+        # boundary, so it cannot be classified at its own centroid.
+        sq = unit_square()
+        sliver = clip_halfplane_nd(sq, 0.0, 1.0, 2e-9)
+        assert sliver is not None and sliver is not sq
+        assert _piece_stable(sq, sliver) is None
+        line = (np.array([math.pi / 2]), np.array([2e-9]))
+        monkeypatch.setattr(robust2d, "_draw_sweep_lines", lambda P, samples, seed: line)
+        rows, _ = truncation_sweep(sq, 1, seed=0)
+        assert rows[0].degenerate and rows[0].piece_S is None
+        assert rows[0].relative_area == sliver.area
+        assert not rows[1].degenerate
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
