@@ -391,7 +391,7 @@ def example_truncated_tetra_fixture() -> tuple:
     P = platonic("tetra")
     o = np.zeros(3)
     v = P.coords
-    tails, heads, _, starts = P.slot_arrays
+    tails, heads, slot_face, starts = P.slot_arrays
     nbrs = np.sort(heads[tails == 0])
     cut_pts = np.array(
         [v[0] + f * (v[j] - v[0]) for f, j in zip(_FIXTURE_FRACTIONS, nbrs)]
@@ -404,13 +404,11 @@ def example_truncated_tetra_fixture() -> tuple:
 
     # The cut chord on each touched face must stay outside the face incircle.
     a_all, nu_all, _, _ = P.edge_frames
-    for k in range(len(P.faces)):
-        if 0 not in P.faces[k]:
-            continue
+    for k in np.unique(slot_face[tails == 0]):
+        run = slice(starts[k], starts[k + 1])
         n = P.plane_normals[k]
-        center = v[list(P.faces[k])].mean(axis=0)
-        a_pts = a_all[starts[k] : starts[k + 1]]
-        nus = nu_all[starts[k] : starts[k + 1]]
+        center = v[tails[run]].mean(axis=0)
+        a_pts, nus = a_all[run], nu_all[run]
         inradius = float(-((center - a_pts) * nus).sum(axis=1).max())
         sin_dihedral = float(np.linalg.norm(np.cross(n, nc)))
         if sin_dihedral <= 1e-12:
@@ -450,9 +448,9 @@ def _search_counts(piece: ConvexPolyhedron3) -> Optional[tuple[int, int]]:
     """(S, U) of a piece at its own centroid; None when degenerate or invalid."""
     try:
         g = np.asarray(centroid3(piece))
-    except DegenerateInput:
-        return None
-    if piece.interior_margin(g) <= piece.eps:
+        if piece.interior_margin(g) <= piece.eps:
+            return None
+    except DegenerateInput:  # no volume, or a face of zero area
         return None
     stables = _stable_candidates(piece, g)
     if any(flag for _, _, flag in stables):

@@ -11,12 +11,13 @@ intersects with a closed half space, inserting the planar cut face in one
 piece.  Generators produce the shapes used elsewhere: regular (platonic)
 solids, prisms, capped cylinders and ellipsoid meshes.
 
-Internally each polyhedron caches "slot" arrays — one slot per (face, edge)
-incidence, faces concatenated in order — so clipping and equilibrium probes
-run as flat numpy passes instead of per-face Python loops.  All topology
-comes from the slot arrays: the undirected edges and each slot's edge from
-one ``edge_pairing``, vertex neighbors from the heads of each vertex's slots,
-and fan triangles from each face's inner slots.
+A polyhedron is stored once, as arrays: ``coords`` (V, 3), and the face
+cycles concatenated into ``tails`` (one vertex per (face, edge) incidence, or
+"slot") with ``starts`` (F + 1 run offsets); ``vertices`` and ``faces`` are
+derived tuple views.  Clipping builds each piece's arrays directly, and all
+topology comes from the slot arrays as flat numpy passes: the undirected edges
+and each slot's edge from one ``edge_pairing``, vertex neighbors from the
+heads of each vertex's slots, and fan triangles from each face's inner slots.
 """
 
 from __future__ import annotations
@@ -41,21 +42,44 @@ class ConvexPolyhedron3:
     """Immutable convex polyhedron (vertex coordinates + oriented face cycles).
 
     Use :func:`polyhedron_new` or :func:`hull3` to construct one; the class
-    itself only performs cheap structural bookkeeping so that clip results can
-    be assembled without re-running the full validation.
+    itself only converts its input to read-only arrays (``coords``, ``tails``,
+    ``starts``) so that clip results can be assembled without re-running the
+    full validation.
     """
 
-    __slots__ = ("vertices", "faces", "__dict__")
+    __slots__ = ("coords", "tails", "starts", "__dict__")
 
     def __init__(self, vertices: Sequence[Point3], faces: Sequence[Sequence[int]]):
-        self.vertices: tuple[Point3, ...] = tuple((float(x), float(y), float(z)) for x, y, z in vertices)
-        self.faces: tuple[tuple[int, ...], ...] = tuple(tuple(int(i) for i in f) for f in faces)
+        coords = np.array(vertices, dtype=float)
+        if coords.ndim != 2 or coords.shape[1] != 3:
+            raise ValueError("every vertex needs exactly three coordinates")
+        cycles = [[int(i) for i in f] for f in faces]
+        tails = np.asarray([i for f in cycles for i in f], dtype=np.intp)
+        starts = np.cumsum([0] + [len(f) for f in cycles], dtype=np.intp)
+        self._init(coords, tails, starts)
+
+    def _init(self, coords: np.ndarray, tails: np.ndarray, starts: np.ndarray) -> None:
+        for a in (coords, tails, starts):
+            a.setflags(write=False)
+        self.coords, self.tails, self.starts = coords, tails, starts
+
+    @classmethod
+    def _from_arrays(cls, coords: np.ndarray, tails: np.ndarray, starts: np.ndarray) -> "ConvexPolyhedron3":
+        """Polyhedron owning the given (V, 3) float and intp face-cycle arrays, unchecked."""
+        P = cls.__new__(cls)
+        P._init(coords, tails, starts)
+        return P
 
     # -- bookkeeping -------------------------------------------------------
 
     @cached_property
-    def coords(self) -> np.ndarray:
-        return np.asarray(self.vertices, dtype=float)
+    def vertices(self) -> tuple[Point3, ...]:
+        return tuple(map(tuple, self.coords.tolist()))
+
+    @cached_property
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        t, s = self.tails.tolist(), self.starts.tolist()
+        return tuple(tuple(t[a:b]) for a, b in zip(s[:-1], s[1:]))
 
     @cached_property
     def scale(self) -> float:
@@ -70,22 +94,12 @@ class ConvexPolyhedron3:
     @cached_property
     def slot_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(tails, heads, slot_face, face_starts) with one slot per face edge."""
-        tails: list[int] = []
-        heads: list[int] = []
-        slot_face: list[int] = []
-        starts = [0]
-        for k, face in enumerate(self.faces):
-            m = len(face)
-            tails.extend(face)
-            heads.extend(face[(i + 1) % m] for i in range(m))
-            slot_face.extend([k] * m)
-            starts.append(starts[-1] + m)
-        return (
-            np.asarray(tails, dtype=np.intp),
-            np.asarray(heads, dtype=np.intp),
-            np.asarray(slot_face, dtype=np.intp),
-            np.asarray(starts, dtype=np.intp),
-        )
+        tails, starts = self.tails, self.starts
+        slot_face = np.arange(len(starts) - 1, dtype=np.intp).repeat(starts[1:] - starts[:-1])
+        nxt = np.arange(1, len(tails) + 1, dtype=np.intp)
+        last = nxt == starts[1:][slot_face]
+        nxt[last] = starts[slot_face[last]]
+        return tails, tails[nxt], slot_face, starts
 
     @cached_property
     def plane_normals(self) -> np.ndarray:
@@ -102,8 +116,7 @@ class ConvexPolyhedron3:
     @cached_property
     def plane_offsets(self) -> np.ndarray:
         """(F,) plane offsets d with n·x = d on face planes."""
-        firsts = np.asarray([f[0] for f in self.faces], dtype=np.intp)
-        return np.einsum("ij,ij->i", self.plane_normals, self.coords[firsts])
+        return np.einsum("ij,ij->i", self.plane_normals, self.coords[self.tails[self.starts[:-1]]])
 
     @cached_property
     def edge_frames(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -122,7 +135,7 @@ class ConvexPolyhedron3:
         """(pairs, slot_edge): the sorted (E, 2) array of undirected (low, high)
         vertex pairs, and per slot the row of its edge in ``pairs``."""
         tails, heads, _, _ = self.slot_arrays
-        nv = len(self.vertices)
+        nv = len(self.coords)
         codes, slot_edge = np.unique(
             np.minimum(tails, heads) * nv + np.maximum(tails, heads), return_inverse=True
         )
@@ -153,7 +166,7 @@ class ConvexPolyhedron3:
         rel = v[flat] - v[owner]
         rel /= np.linalg.norm(rel, axis=1)[:, None]
         base = np.einsum("ij,ij->i", rel, v[owner])
-        counts = np.bincount(tails, minlength=len(self.vertices))
+        counts = np.bincount(tails, minlength=len(self.coords))
         starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
         return rel, base, starts
 
@@ -182,18 +195,18 @@ class ConvexPolyhedron3:
         return vol, (float(cen[0]), float(cen[1]), float(cen[2])), surf
 
     def structural_ok(self) -> bool:
-        """Cheap manifold check: directed edges pair up and Euler holds."""
-        for face in self.faces:
-            if len(face) < 3 or len(set(face)) != len(face):
-                return False
-        tails, heads, _, _ = self.slot_arrays
-        n = len(self.vertices)
-        code = tails * n + heads
-        if len(np.unique(code)) != len(code):
-            return False
-        if not np.array_equal(np.sort(code), np.sort(heads * n + tails)):
-            return False
-        return n - len(code) // 2 + len(self.faces) == 2
+        """Cheap manifold check: simple face cycles, directed edges pair up, Euler holds."""
+        tails, heads, slot_face, starts = self.slot_arrays
+        n = len(self.coords)
+        face_vertex = np.sort(slot_face * n + tails)
+        code = np.sort(tails * n + heads)
+        return bool(
+            (starts[1:] - starts[:-1] >= 3).all()
+            and (face_vertex[1:] != face_vertex[:-1]).all()
+            and (code[1:] != code[:-1]).all()
+            and (code == np.sort(heads * n + tails)).all()
+            and n - len(code) // 2 + len(starts) - 1 == 2
+        )
 
     def interior_margin(self, p: Sequence[float]) -> float:
         """Smallest signed distance from ``p`` to the face planes (positive inside)."""
@@ -209,8 +222,8 @@ class ConvexPolyhedron3:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"ConvexPolyhedron3({len(self.vertices)} vertices, "
-            f"{len(self.edges)} edges, {len(self.faces)} faces)"
+            f"ConvexPolyhedron3({len(self.coords)} vertices, "
+            f"{len(self.edges)} edges, {len(self.starts) - 1} faces)"
         )
 
 
@@ -479,22 +492,17 @@ def clip_halfspace3(
     out[pos[emit_tail]] = tails[emit_tail]
     out[(pos + emit_tail)[crossing]] = nv + np.searchsorted(cross_edges, slot_edge[crossing])
 
-    face_counts = np.add.reduceat(counts, starts[:-1]) if len(starts) > 1 else np.array([], dtype=np.intp)
-    bounds = np.concatenate([[0], np.cumsum(face_counts)])
-    new_faces = [
-        out[bounds[k] : bounds[k + 1]].tolist()
-        for k in range(len(P.faces))
-        if face_counts[k] >= 3
-    ]
+    face_counts = np.add.reduceat(counts, starts[:-1])
+    kept = face_counts >= 3
+    runs = [out[kept.repeat(face_counts)]]
+    sizes = [face_counts[kept]]
 
     all_pts = np.vstack([v, new_pts]) if len(new_pts) else v
 
-    # The cut cross-section ring: crossing points plus kept on-plane vertices.
-    rim = set(range(nv, nv + len(new_pts)))
-    rim.update(np.nonzero(below & (np.abs(s) <= eps))[0].tolist())
-    rim_idx = sorted(rim)
-    if len(rim_idx) >= 3:
-        pts2 = all_pts[rim_idx]
+    # The cut cross-section ring: kept on-plane vertices plus crossing points.
+    rim = np.concatenate([np.nonzero(below & (np.abs(s) <= eps))[0], nv + np.arange(len(new_pts))])
+    if len(rim) >= 3:
+        pts2 = all_pts[rim]
         center = pts2.mean(axis=0)
         spread = pts2 - center
         ref = spread[int(np.argmax(np.linalg.norm(spread, axis=1)))]
@@ -504,65 +512,65 @@ def clip_halfspace3(
             ref /= rn
             other = np.cross(n, ref)
             ang = np.arctan2(spread @ other, spread @ ref)
-            order = np.argsort(ang, kind="stable")
             # Counterclockwise around n makes n the outward normal of the cut
             # face, matching the kept side n·x <= d.
-            new_faces.append([rim_idx[i] for i in order])
-
-    if not new_faces:
-        return None
+            runs.append(rim[np.argsort(ang, kind="stable")])
+            sizes.append([len(rim)])
+    flat = np.concatenate(runs)
+    sizes = np.concatenate(sizes)
 
     # Merge points that collapse together (cuts passing close to vertices).
-    merge_tol = max(eps, 1e-13 * P.scale)
-    used = sorted({i for f in new_faces for i in f})
-    alias = {i: i for i in used}
+    used = np.bincount(flat).nonzero()[0]
     upts = all_pts[used]
-    if len(used) > 1:
-        diff = upts[:, None, :] - upts[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        ii, jj = np.nonzero(d2 <= merge_tol * merge_tol)
-        pairs = [(used[a], used[b]) for a, b in zip(ii.tolist(), jj.tolist()) if a < b]
-        for a, b in pairs:
-            ra, rb = alias[a], alias[b]
-            while alias[ra] != ra:
-                ra = alias[ra]
-            while alias[rb] != rb:
-                rb = alias[rb]
-            if ra != rb:
-                alias[max(ra, rb)] = min(ra, rb)
-
-        def resolve(i: int) -> int:
-            while alias[i] != i:
-                i = alias[i]
-            return i
-
-    else:
-
-        def resolve(i: int) -> int:
-            return i
-
-    cleaned: list[list[int]] = []
-    for f in new_faces:
-        cyc: list[int] = []
-        for i in f:
-            j = resolve(i)
-            if not cyc or (cyc[-1] != j and cyc[0] != j):
-                cyc.append(j)
-        if len(cyc) >= 3:
-            cleaned.append(cyc)
-    if len(cleaned) < 4:
+    diff = upts[:, None, :] - upts[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    merge_tol = max(eps, 1e-13 * P.scale)
+    ii, jj = np.nonzero(d2 <= merge_tol * merge_tol)
+    pair = ii < jj
+    if pair.any():
+        flat, sizes = _merge_points(flat, sizes, used[ii[pair]], used[jj[pair]], len(all_pts))
+    if len(sizes) < 4:
         return None
 
-    final_used = sorted({i for f in cleaned for i in f})
-    remap = {old: new for new, old in enumerate(final_used)}
-    piece = ConvexPolyhedron3(
-        [tuple(all_pts[i]) for i in final_used], [[remap[i] for i in f] for f in cleaned]
+    # Renumber the surviving points in ascending order of their old index.
+    on = np.bincount(flat, minlength=len(all_pts)) > 0
+    piece = ConvexPolyhedron3._from_arrays(
+        all_pts[on], (np.cumsum(on) - 1)[flat], np.cumsum(np.concatenate([[0], sizes]))
     )
     if not piece.structural_ok():
         return None
     if volume(piece) <= _VOL_REL_FLOOR * P.scale**3:
         return None
     return piece
+
+
+def _merge_points(
+    flat: np.ndarray, sizes: np.ndarray, lo: np.ndarray, hi: np.ndarray, npts: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Face cycles (``flat`` runs of ``sizes``) with each close pair (lo[k], hi[k])
+    merged into the lowest index of its cluster; a cycle drops repeats of its
+    first point, then consecutive repeats, and vanishes below 3 points."""
+    root = np.arange(npts)
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        while root[a] != a:
+            a = root[a]
+        while root[b] != b:
+            b = root[b]
+        root[max(a, b)] = min(a, b)
+    while (root[root] != root).any():
+        root = root[root]
+
+    r = root[flat]
+    face = np.repeat(np.arange(len(sizes)), sizes)
+    first = np.cumsum(sizes) - sizes
+    keep = r != r[first][face]
+    keep[first] = True
+    r, face = r[keep], face[keep]
+    keep = (np.diff(r, prepend=-1) != 0) | (np.diff(face, prepend=-1) != 0)
+    r, face = r[keep], face[keep]
+    sizes = np.bincount(face, minlength=len(sizes))
+    good = sizes >= 3
+    return r[good[face]], sizes[good]
 
 
 # -- generators ------------------------------------------------------------
@@ -604,7 +612,7 @@ def platonic(name: str, edge: Optional[float] = None) -> ConvexPolyhedron3:
         a, b = base.edges[0]
         e0 = math.dist(base.vertices[a], base.vertices[b])
         factor = float(edge) / e0
-    return ConvexPolyhedron3([(x * factor, y * factor, z * factor) for x, y, z in base.vertices], base.faces)
+    return ConvexPolyhedron3._from_arrays(base.coords * factor, base.tails, base.starts)
 
 
 def generator_prism(ngon: int, height: float) -> ConvexPolyhedron3:

@@ -266,6 +266,19 @@ def _piece_stable(P: ConvexPolygon2, piece: Optional[ConvexPolygon2]) -> Optiona
     return eq.S
 
 
+def _evaluate_cut(P: ConvexPolygon2, total: float, nx: float, ny: float, d: float) -> tuple[float, Optional[int]]:
+    """Keep the side n·z <= d of ``P`` (area ``total``): the kept area fraction
+    and the piece's stable count from :func:`_piece_stable`."""
+    piece = clip_halfplane_nd(P, nx, ny, d)
+    if piece is None:
+        kept = 0.0
+    elif piece is P:
+        kept = 1.0
+    else:
+        kept = piece.area / total
+    return kept, _piece_stable(P, piece)
+
+
 def full_robustness_line_bound(
     P: ConvexPolygon2,
     grid_theta: int = 180,
@@ -297,25 +310,13 @@ def full_robustness_line_bound(
         lo, hi = P.support_interval(nx, ny)
         offsets = np.linspace(lo, hi, grid_offset + 2)[1:-1]
         for side in (+1, -1):
-
-            def removed_rel(d: float) -> tuple[float, Optional[int]]:
-                piece = clip_halfplane_nd(P, side * nx, side * ny, side * d)
-                s = _piece_stable(P, piece)
-                if piece is None:
-                    kept = 0.0
-                elif piece is P:
-                    kept = 1.0
-                else:
-                    kept = piece.area / total
-                return 1.0 - kept, s
-
             # For side +1 the kept part grows with d, so the cheapest reducing
             # cut sits at the largest reducing offset (smallest for side -1).
             reducing = []
             for d in offsets:
-                rel, s = removed_rel(d)
+                kept, s = _evaluate_cut(P, total, side * nx, side * ny, side * d)
                 if s is not None and s < S0:
-                    reducing.append((d, rel))
+                    reducing.append((d, 1.0 - kept))
             if not reducing:
                 continue
             if side == +1:
@@ -330,10 +331,10 @@ def full_robustness_line_bound(
                 a, b = d_red, d_ok
                 while abs(b - a) > refine_tol:
                     mid = 0.5 * (a + b)
-                    rel, s = removed_rel(mid)
+                    kept, s = _evaluate_cut(P, total, side * nx, side * ny, side * mid)
                     if s is not None and s < S0:
                         a = mid
-                        rel_red, d_red = rel, mid
+                        rel_red, d_red = 1.0 - kept, mid
                     else:
                         b = mid
             if rel_red < best_val:
@@ -433,17 +434,9 @@ def truncation_sweep(P: ConvexPolygon2, samples: int, seed: int, bins: int = 20)
     for theta, d in zip(thetas, offsets):
         nx, ny = math.cos(theta), math.sin(theta)
         for side in (+1, -1):
-            piece = clip_halfplane_nd(P, side * nx, side * ny, side * d)
-            if piece is None or piece is P:
-                rel = 0.0 if piece is None else 1.0
-                rows.append(TruncationSample(float(theta), float(d), side, rel, None, None, True))
-                continue
-            rel = piece.area / total
-            s = _piece_stable(P, piece)
-            if s is None:
-                rows.append(TruncationSample(float(theta), float(d), side, rel, None, None, True))
-            else:
-                rows.append(TruncationSample(float(theta), float(d), side, rel, s, s - S0, False))
+            rel, s = _evaluate_cut(P, total, side * nx, side * ny, side * d)
+            delta = None if s is None else s - S0
+            rows.append(TruncationSample(float(theta), float(d), side, rel, s, delta, s is None))
     return rows, summarize_sweep(rows, bins)
 
 

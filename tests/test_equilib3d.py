@@ -33,6 +33,7 @@ from equirobust.equilib3d import (
     rho_in_sampled_3d,
     stable_count3,
 )
+from equirobust.equilib3d import _search_counts
 
 from conftest import random_hull3, random_interior_point3
 
@@ -407,3 +408,16 @@ class TestTruncationSearch:
         r = plane_truncation_search(cyl, "reduce_any", grid=(24, 10), refine_tol=1e-3, seed=5)
         assert r.value == pytest.approx(0.18006431719880844, abs=1e-10)
         assert r.details["partial_u"] is None
+
+    def test_piece_with_zero_area_face_is_not_counted(self):
+        # A cut 2 eps inside a vertex leaves a face of zero area; the piece
+        # must be skipped, not let DegenerateInput escape the search.
+        P = platonic("tetra")
+        n = np.random.default_rng(0).normal(size=3)
+        n /= np.linalg.norm(n)
+        d = float(P.coords[0] @ n) - 2 * P.eps
+        piece = clip_halfspace3(P, -n, -d)
+        assert piece is not None and piece is not P
+        with pytest.raises(DegenerateInput, match="zero area"):
+            piece.plane_normals
+        assert _search_counts(piece) is None

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from equirobust.errors import DegenerateInput, NonConvexInput
 from equirobust.geom3d import (
+    ConvexPolyhedron3,
     aabb,
     bounding_box,
     centroid3,
@@ -99,6 +101,28 @@ class TestConstruction:
         faces = [f for k, f in enumerate(c.faces) if k != top]
         with pytest.raises(DegenerateInput, match="closed surface"):
             polyhedron_new(c.vertices, faces)
+
+    def test_vertex_needs_three_coordinates(self):
+        # A flat list of 12 numbers would reshape to (4, 3); it must not.
+        faces = [[0, 1, 2], [0, 3, 1], [1, 3, 2], [0, 2, 3]]
+        for verts in ([(0, 0, 0), (1, 0, 0), (0, 1), (0, 0, 1)], [(0, 0, 0, 0)] * 3, [0.0] * 12):
+            with pytest.raises((TypeError, ValueError)):
+                ConvexPolyhedron3(verts, faces)
+
+    def test_structural_ok_rejects_short_and_pinched_cycles(self):
+        # Each defect keeps every directed edge paired and Euler intact, so
+        # only the cycle checks can reject it.
+        c = platonic("cube")
+        a, b = next((i, j) for i in range(8) for j in range(8) if i < j and (i, j) not in c.edges)
+        assert not ConvexPolyhedron3(c.vertices, c.faces + ((a, b),)).structural_ok()
+        # Two octahedron triangles meeting in one vertex a, joined into the
+        # pinched cycle (a, ., ., a, ., .); an unused vertex restores Euler.
+        o = platonic("octa")
+        f, g = next((f, g) for f in o.faces for g in o.faces if len(set(f) & set(g)) == 1)
+        (a,) = set(f) & set(g)
+        cycle = f[f.index(a) :] + f[: f.index(a)] + g[g.index(a) :] + g[: g.index(a)]
+        faces = [h for h in o.faces if h not in (f, g)] + [cycle]
+        assert not ConvexPolyhedron3(o.vertices + ((5.0, 5.0, 5.0),), faces).structural_ok()
 
 
 class TestHull:
@@ -237,7 +261,25 @@ def _topology_bodies():
     return bodies + pieces
 
 
+# sha256 over off_dumps of every body and piece of _topology_bodies(): pins
+# the clip's output byte for byte, merge-path pieces included.
+TOPOLOGY_BODIES_OFF_SHA256 = "7b72de6ae588d8e9744e373c833aa5192ef90136d88e681039fe5bc67cb0d216"
+
+
 class TestTopology:
+    def test_clip_pieces_match_recorded_digest(self):
+        h = hashlib.sha256()
+        for P in _topology_bodies():
+            h.update(off_dumps(P).encode())
+        assert h.hexdigest() == TOPOLOGY_BODIES_OFF_SHA256
+
+    def test_tuple_views_round_trip(self):
+        for P in _topology_bodies():
+            Q = ConvexPolyhedron3(P.vertices, P.faces)
+            assert Q.coords.dtype == P.coords.dtype and np.array_equal(Q.coords, P.coords)
+            for got, want in zip(Q.slot_arrays, P.slot_arrays):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_slot_derived_topology_matches_oracle(self):
         for P in _topology_bodies():
             edges, faces, nbrs, tris = _topology_oracle(P)
