@@ -47,6 +47,7 @@ from .geom3d import (
     generator_truncated_cylinder,
     platonic,
     read_off,
+    surface_area,
 )
 from .reports import json_dumps_g17
 from .robust2d import (
@@ -295,11 +296,8 @@ def _cmd_fixtures(args) -> int:
         "passed": True,
         "value_before": rep.value,
         "value_after": rep2.value,
-        "surface_area_after": None,
+        "surface_area_after": surface_area(P2),
     }
-    from .geom3d import surface_area
-
-    payload["truncated_tetra"]["surface_area_after"] = surface_area(P2)
 
     pairs = [(n, k) for n in range(4, 64) for k in range(1, n - 2) if n + k <= 64 and n - k >= 3]
     failures = [[n, k] for n, k in pairs if not dowker_convexity_check(n, k)]

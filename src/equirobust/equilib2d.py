@@ -71,17 +71,15 @@ class EquilibriumSet2:
         return '{"S": %d, "U": %d, "points": [%s]}' % (self.S, self.U, rows)
 
 
-def require_interior(P: ConvexPolygon2, p: Sequence[float]) -> None:
-    """Raise ``ReferenceOutside`` unless ``p`` is strictly inside beyond tolerance."""
-    if P.interior_margin(p) <= P.eps:
-        raise ReferenceOutside("reference point must be strictly interior to the polygon")
-
-
 def stable_points(P: ConvexPolygon2, p: Sequence[float]) -> list[EquilibriumPoint2]:
-    """Perpendicular feet of ``p`` on edges, in boundary order."""
-    require_interior(P, p)
-    px, py = float(p[0]), float(p[1])
+    """Perpendicular feet of ``p`` on edges, in boundary order.
+
+    Raises ``ReferenceOutside`` unless ``p`` is strictly inside beyond tolerance.
+    """
     eps = P.eps
+    if P.interior_margin(p) <= eps:
+        raise ReferenceOutside("reference point must be strictly interior to the polygon")
+    px, py = float(p[0]), float(p[1])
     out: list[EquilibriumPoint2] = []
     pts = P.vertices
     n = len(pts)
@@ -101,8 +99,10 @@ def stable_points(P: ConvexPolygon2, p: Sequence[float]) -> list[EquilibriumPoin
 
 
 def unstable_points(P: ConvexPolygon2, p: Sequence[float]) -> list[EquilibriumPoint2]:
-    """Vertices that are local maxima of the boundary distance to ``p``."""
-    require_interior(P, p)
+    """Vertices that are local maxima of the boundary distance to ``p``.
+
+    ``p`` is not checked here; :func:`equilibria` checks it in :func:`stable_points`.
+    """
     px, py = float(p[0]), float(p[1])
     eps = P.eps
     out: list[EquilibriumPoint2] = []

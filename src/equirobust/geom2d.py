@@ -1,7 +1,9 @@
 """Convex polygon kernel: construction, measures, clipping, disk overlap, strips.
 
 Vertices are plain ``(x, y)`` float tuples in counterclockwise order; the
-polygon class canonicalizes orientation and start vertex on construction.
+polygon class canonicalizes orientation and start vertex and stores its
+diameter.  The public constructor validates outside input; a clip piece is
+validated only by the ring cleanup, whose ring becomes the polygon directly.
 ``None`` plays the role of the empty polygon wherever clipping can eat the
 whole body.
 """
@@ -24,6 +26,11 @@ _AREA_FLOOR = 1e-12  # of squared diameter
 
 def _cross(ax: float, ay: float, bx: float, by: float) -> float:
     return ax * by - ay * bx
+
+
+def _turn(a: Point2, b: Point2, c: Point2) -> float:
+    """Cross product of the edges ``a -> b`` and ``b -> c``; positive for a left turn."""
+    return _cross(b[0] - a[0], b[1] - a[1], c[0] - b[0], c[1] - b[1])
 
 
 def _max_pairwise_sq(pts: Sequence[Point2]) -> float:
@@ -90,7 +97,7 @@ class ConvexPolygon2:
     independent.
     """
 
-    __slots__ = ("vertices", "__dict__")
+    __slots__ = ("vertices", "diameter", "__dict__")
 
     def __init__(self, vertices: Iterable[Sequence[float]]):
         pts = [(float(p[0]), float(p[1])) for p in vertices]
@@ -105,13 +112,7 @@ class ConvexPolygon2:
         cross_tol = tol.EPS_GEOM * diam_sq
 
         n = len(pts)
-        crosses = []
-        for i in range(n):
-            ax = pts[(i + 1) % n][0] - pts[i][0]
-            ay = pts[(i + 1) % n][1] - pts[i][1]
-            bx = pts[(i + 2) % n][0] - pts[(i + 1) % n][0]
-            by = pts[(i + 2) % n][1] - pts[(i + 1) % n][1]
-            crosses.append(_cross(ax, ay, bx, by))
+        crosses = [_turn(pts[i], pts[(i + 1) % n], pts[(i + 2) % n]) for i in range(n)]
         has_pos = any(c > cross_tol for c in crosses)
         has_neg = any(c < -cross_tol for c in crosses)
         if has_pos and has_neg:
@@ -120,15 +121,25 @@ class ConvexPolygon2:
             raise DegenerateInput("all vertices are collinear within tolerance")
         if has_neg:
             pts.reverse()
-            crosses = [-c for c in reversed(crosses)]
         if any(abs(c) <= cross_tol for c in crosses):
             raise DegenerateInput("three consecutive vertices are collinear within tolerance")
         area = _shoelace(pts)
         if area <= _AREA_FLOOR * diam_sq:
             raise DegenerateInput("polygon area is below the degeneracy threshold")
+        self._store(pts, diam_sq)
 
-        start = min(range(n), key=lambda i: (pts[i][1], pts[i][0]))
+    @classmethod
+    def _from_ring(cls, ring: list[Point2], diam_sq: float) -> ConvexPolygon2:
+        """Unchecked constructor: ``ring`` is valid and counterclockwise, ``diam_sq`` its squared diameter."""
+        self = cls.__new__(cls)
+        self._store(ring, diam_sq)
+        return self
+
+    def _store(self, pts: list[Point2], diam_sq: float) -> None:
+        # Rotate so the lowest (then leftmost) vertex comes first.
+        start = min(range(len(pts)), key=lambda i: (pts[i][1], pts[i][0]))
         self.vertices: tuple[Point2, ...] = tuple(pts[start:] + pts[:start])
+        self.diameter = math.sqrt(diam_sq)
 
     # -- cached measures ---------------------------------------------------
 
@@ -142,11 +153,7 @@ class ConvexPolygon2:
 
     @cached_property
     def perimeter(self) -> float:
-        pts = self.vertices
-        return sum(
-            math.hypot(pts[(i + 1) % len(pts)][0] - pts[i][0], pts[(i + 1) % len(pts)][1] - pts[i][1])
-            for i in range(len(pts))
-        )
+        return sum(math.hypot(bx - ax, by - ay) for (ax, ay), (bx, by) in self.edges())
 
     @cached_property
     def centroid(self) -> Point2:
@@ -162,10 +169,6 @@ class ConvexPolygon2:
             cy += (y0 + y1) * w
         a = self.area
         return (cx / (6.0 * a), cy / (6.0 * a))
-
-    @cached_property
-    def diameter(self) -> float:
-        return math.sqrt(_max_pairwise_sq(self.vertices))
 
     @property
     def eps(self) -> float:
@@ -189,9 +192,6 @@ class ConvexPolygon2:
             if d < best:
                 best = d
         return best
-
-    def contains(self, p: Sequence[float]) -> bool:
-        return self.interior_margin(p) >= -self.eps
 
     def support_interval(self, nx: float, ny: float) -> tuple[float, float]:
         """Range of the projections of the vertices onto direction ``(nx, ny)``."""
@@ -239,7 +239,12 @@ def regular_ngon(S: int, circumradius: Optional[float] = None, center: Point2 = 
 
 
 def _clean_ring(pts: Sequence[Point2]) -> Optional[ConvexPolygon2]:
-    """Build a polygon from a clip result, dropping duplicate/collinear vertices."""
+    """Build a polygon from a clip result, dropping duplicate/collinear vertices.
+
+    The only check a clip piece gets: every kept turn exceeds ``2 EPS diam_sq``
+    and the area exceeds the floor times ``diam_sq``, where ``diam_sq`` bounds
+    the ring's own, so the ring would pass the constructor unchanged.
+    """
     if len(pts) < 3:
         return None
     diam_sq = _max_pairwise_sq(pts)
@@ -268,19 +273,18 @@ def _clean_ring(pts: Sequence[Point2]) -> Optional[ConvexPolygon2]:
         changed = False
         n = len(ring)
         for i in range(n):
-            a = ring[(i - 1) % n]
-            b = ring[i]
-            c = ring[(i + 1) % n]
-            cr = _cross(b[0] - a[0], b[1] - a[1], c[0] - b[0], c[1] - b[1])
-            if cr <= cross_tol:
+            if _turn(ring[(i - 1) % n], ring[i], ring[(i + 1) % n]) <= cross_tol:
                 ring.pop(i)
                 changed = True
                 break
     if len(ring) < 3:
         return None
-    if _shoelace(ring) <= _AREA_FLOOR * diam_sq:
+    area = _shoelace(ring)
+    if not math.isfinite(area):  # a non-finite or overflowing cut puts NaN into the ring
+        raise DegenerateInput("vertices must be finite")
+    if area <= _AREA_FLOOR * diam_sq:
         return None
-    return ConvexPolygon2(ring)
+    return ConvexPolygon2._from_ring(ring, diam_sq if len(ring) == len(pts) else _max_pairwise_sq(ring))
 
 
 def _clip_ring(pts: Sequence[Point2], nx: float, ny: float, d: float, eps: float) -> Optional[list[Point2]]:
@@ -303,7 +307,7 @@ def _clip_ring(pts: Sequence[Point2], nx: float, ny: float, d: float, eps: float
 
 def clip_halfplane_nd(P: ConvexPolygon2, nx: float, ny: float, d: float) -> Optional[ConvexPolygon2]:
     """Intersect ``P`` with the half plane ``n . z <= d`` given in normal form."""
-    ring = _clip_ring(P.vertices, nx, ny, d, P.eps)
+    ring = _clip_ring(P.vertices, float(nx), float(ny), float(d), P.eps)
     if ring is None:
         return P
     return _clean_ring(ring)

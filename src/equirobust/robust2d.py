@@ -146,11 +146,7 @@ def rho_in_sampled(P: ConvexPolygon2, p: Sequence[float], directions: int = 720,
     verts = np.asarray(P.vertices)
     far = float(np.hypot(verts[:, 0] - origin[0], verts[:, 1] - origin[1]).max())
     s_max = 2.0 * (far + P.diameter)
-
-    def counts(qs: np.ndarray) -> np.ndarray:
-        return stable_count_batch(P, qs)
-
-    exits = first_exit_distances(counts, origin, dirs, eq.S, s_max, tol_step)
+    exits = first_exit_distances(lambda qs: stable_count_batch(P, qs), origin, dirs, eq.S, s_max, tol_step)
     k = int(np.argmin(exits))
     return RobustnessReport(
         kind="internal",
@@ -270,12 +266,7 @@ def _evaluate_cut(P: ConvexPolygon2, total: float, nx: float, ny: float, d: floa
     """Keep the side n·z <= d of ``P`` (area ``total``): the kept area fraction
     and the piece's stable count from :func:`_piece_stable`."""
     piece = clip_halfplane_nd(P, nx, ny, d)
-    if piece is None:
-        kept = 0.0
-    elif piece is P:
-        kept = 1.0
-    else:
-        kept = piece.area / total
+    kept = 0.0 if piece is None else 1.0 if piece is P else piece.area / total
     return kept, _piece_stable(P, piece)
 
 
@@ -319,13 +310,12 @@ def full_robustness_line_bound(
                     reducing.append((d, 1.0 - kept))
             if not reducing:
                 continue
+            step = offsets[1] - offsets[0] if len(offsets) > 1 else (hi - lo)
             if side == +1:
                 d_red, rel_red = max(reducing, key=lambda t: t[0])
-                step = offsets[1] - offsets[0] if len(offsets) > 1 else (hi - lo)
                 d_ok = min(d_red + step, hi)
             else:
                 d_red, rel_red = min(reducing, key=lambda t: t[0])
-                step = offsets[1] - offsets[0] if len(offsets) > 1 else (hi - lo)
                 d_ok = max(d_red - step, lo)
             if refine_tol is not None:
                 a, b = d_red, d_ok
@@ -347,18 +337,12 @@ def full_robustness_line_bound(
                     "relative_area_removed": rel_red,
                 }
 
-    if best_witness is None:
-        return RobustnessReport(
-            kind="full_line_bound",
-            value=None,
-            method="search",
-            status="no_reduction_found",
-            details={"S": S0, "grid_theta": grid_theta, "grid_offset": grid_offset, "refine_tol": refine_tol, "upper_bound": True},
-        )
+    found = best_witness is not None
     return RobustnessReport(
         kind="full_line_bound",
-        value=best_val,
+        value=best_val if found else None,
         method="search",
+        status="ok" if found else "no_reduction_found",
         witness=best_witness,
         details={"S": S0, "grid_theta": grid_theta, "grid_offset": grid_offset, "refine_tol": refine_tol, "upper_bound": True},
     )

@@ -40,6 +40,11 @@ def rotation_from_seed(seed: int) -> np.ndarray:
     )
 
 
+# Steps of the coarse outward scan and of the verification sweep below.
+_EXIT_COARSE_STEPS = 128
+_EXIT_VERIFY_STEPS = 512
+
+
 def first_exit_distances(
     count_batch,
     origin: np.ndarray,
@@ -47,8 +52,6 @@ def first_exit_distances(
     target_count: int,
     s_max: float,
     tol: float,
-    coarse: int = 128,
-    verify: int = 512,
 ) -> np.ndarray:
     """Per direction, distance from ``origin`` to the first point where a count changes.
 
@@ -88,7 +91,7 @@ def first_exit_distances(
                 break
 
     all_rows = np.arange(m)
-    scan(all_rows, np.full(m, s_max), coarse)
+    scan(all_rows, np.full(m, s_max), _EXIT_COARSE_STEPS)
 
     def bisect(rows: np.ndarray) -> None:
         for _ in range(200):
@@ -107,7 +110,7 @@ def first_exit_distances(
         best = float(hi.min()) if found.any() else s_max
         if best <= tol:
             break
-        grid = np.linspace(0.0, best, verify + 1)[1:-1]
+        grid = np.linspace(0.0, best, _EXIT_VERIFY_STEPS + 1)[1:-1]
         earlier = np.zeros(m, dtype=bool)
         prev = np.zeros(m)
         for s in grid:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from equirobust import geom2d
 from equirobust.errors import DegenerateInput, NonConvexInput
 from equirobust.geom2d import (
     ConvexPolygon2,
@@ -159,6 +160,35 @@ class TestClip:
         assert out is not None
         assert out.n == 3
         assert out.area == pytest.approx(0.5, abs=1e-12)
+
+    def test_pieces_match_public_constructor(self, rng):
+        # Clip pieces skip the public constructor's checks; rebuilding each
+        # one through it must give the same vertices and the same diameter,
+        # also for cuts a few eps from a vertex, where the cleanup drops points.
+        polys = [regular_ngon(S) for S in (3, 4, 5, 6, 7, 8, 12, 16, 32, 64)]
+        polys += [random_convex_polygon(rng, int(rng.integers(3, 16))) for _ in range(10)]
+        pieces = dropped = 0
+        for P in polys:
+            for theta in (0.3, math.pi / P.n):
+                nx, ny = math.cos(theta), math.sin(theta)
+                lo, hi = P.support_interval(nx, ny)
+                offsets = list(np.linspace(lo, hi, 9)[1:-1])
+                near = (0, 0.5, -0.5, 1, -1, 2, -2, 4, -4)
+                offsets += [x * nx + y * ny + f * P.eps for x, y in P.vertices for f in near]
+                for d in offsets:
+                    for side in (1, -1):
+                        piece = clip_halfplane_nd(P, side * nx, side * ny, side * d)
+                        if piece is None or piece is P:
+                            continue
+                        pieces += 1
+                        ring = geom2d._clip_ring(P.vertices, side * nx, side * ny, side * float(d), P.eps)
+                        dropped += piece.n < len(ring)
+                        rebuilt = ConvexPolygon2(piece.vertices)
+                        assert rebuilt.vertices == piece.vertices
+                        assert rebuilt.diameter == piece.diameter
+                        assert all(type(c) is float for v in piece.vertices for c in v)
+        assert pieces > 3000
+        assert dropped > 0, f"no piece of {pieces} took the dropped-point branch"
 
 
 class TestAreaOutsideDisk:
