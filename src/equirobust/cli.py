@@ -264,6 +264,12 @@ def _cmd_sweep(args) -> int:
         raise CLIError("sweep needs a polygon shape")
     rows, summary = truncation_sweep(shape, args.samples, args.seed, bins=args.bins)
     samples_text = sweep_csv(rows)
+    fmt = args.format or "csv"
+    if fmt == "csv" and not args.out:
+        # The per-sample rows fit any polygon; the summary schema holds only
+        # delta-S values -2..+1, so it is built only when it is written.
+        _emit(samples_text, None)
+        return 0
     summary_text = summary_csv(summary)
     svg_text = summary_svg(summary)
     if args.out:
@@ -273,10 +279,7 @@ def _cmd_sweep(args) -> int:
         _emit(json_dumps_g17({"status": "ok", "samples": len(rows),
                               "files": [args.out + s for s in (".samples.csv", ".summary.csv", ".svg")]}), None)
         return 0
-    fmt = args.format or "csv"
-    if fmt == "csv":
-        _emit(samples_text, None)
-    elif fmt == "svg":
+    if fmt == "svg":
         _emit(svg_text, None)
     else:
         _emit(json_dumps_g17({"status": "ok", "samples": len(rows), "summary_csv": summary_text}), None)

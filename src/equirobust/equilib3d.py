@@ -189,20 +189,24 @@ def stable_count3(P: ConvexPolyhedron3, qs: np.ndarray) -> np.ndarray:
 
     Defined for arbitrary points (also outside ``P``); this is the count whose
     first change the sampled robustness walk detects.
+
+    The feet are never formed.  Each slot's in-face edge normal ``nu = u x n``
+    is orthogonal to its face normal ``n``, and the foot differs from ``q``
+    only by a multiple of ``n``, so ``(foot - a) . nu = (q - a) . nu``: the
+    foot is inside an edge line exactly when ``q`` is.  One matrix product per
+    block of queries then tests every slot, and a face counts when all its
+    slots do.
     """
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
     a, nu, _, _ = P.edge_frames
-    _, _, slot_face, starts = P.slot_arrays
-    n = P.plane_normals
+    starts = P.slot_arrays[3]
+    c = np.einsum("ij,ij->i", a, nu)
     counts = np.empty(len(qs), dtype=int)
-    block = max(1, int(2e6) // max(1, len(slot_face)))
+    # About 1.6 MB of float temporaries per block.
+    block = max(1, int(2e5) // len(c))
     for i in range(0, len(qs), block):
-        q = qs[i : i + block]
-        heights = q @ n.T - P.plane_offsets
-        feet = q[:, None, :] - heights[:, :, None] * n[None, :, :]
-        sd = np.einsum("qsj,sj->qs", feet[:, slot_face, :] - a, nu)
-        worst = np.maximum.reduceat(sd, starts[:-1], axis=1)
-        counts[i : i + block] = (worst < 0.0).sum(axis=1)
+        inside = nu @ qs[i : i + block].T < c[:, None]
+        counts[i : i + block] = np.logical_and.reduceat(inside, starts[:-1], axis=0).sum(axis=0)
     return counts
 
 
@@ -320,11 +324,7 @@ def rho_in_sampled_3d(
     far = float(np.max(np.linalg.norm(P.coords - q, axis=1)))
     s_max = 2.0 * (far + P.scale)
     tol_abs = tol_step * P.scale
-
-    def count_batch(pts: np.ndarray) -> np.ndarray:
-        return stable_count3(P, pts)
-
-    dists = first_exit_distances(count_batch, q, dirs, target, s_max, tol_abs)
+    dists = first_exit_distances(lambda pts: stable_count3(P, pts), q, dirs, target, s_max, tol_abs)
     idx = int(np.argmin(dists))
     surf = surface_area(P)
     return RobustnessReport(

@@ -40,9 +40,11 @@ def rotation_from_seed(seed: int) -> np.ndarray:
     )
 
 
-# Steps of the coarse outward scan and of the verification sweep below.
+# Steps of the coarse outward scan and of the verification sweep below, and
+# the most query points the sweep asks ``count_batch`` for in one call.
 _EXIT_COARSE_STEPS = 128
 _EXIT_VERIFY_STEPS = 512
+_EXIT_BATCH_POINTS = 4096
 
 
 def first_exit_distances(
@@ -62,6 +64,13 @@ def first_exit_distances(
     that bracket down to ``tol``, and then re-examines a denser grid below the
     crossing so thin transition slivers between coarse samples are not skipped.
     Directions with no observed change return ``s_max``.
+
+    The verification grid is evaluated a chunk of steps at a time, for every
+    row at once, in calls of at most ``_EXIT_BATCH_POINTS`` points (a single
+    step may exceed it when there are more rows).  Each row's first bad step
+    in a chunk sets its bracket, so the brackets equal those of a walk that
+    asks for one step at a time; only the points a row would have stopped
+    before, later in the same chunk, are extra.
     """
     directions = np.asarray(directions, dtype=float)
     m = directions.shape[0]
@@ -106,26 +115,30 @@ def first_exit_distances(
     bisect(all_rows[found])
 
     # Verification sweep: look for earlier crossings below the current best.
+    # A row is live on a prefix of the grid (steps below its ``hi``, up to
+    # its first bad step), so its first bad step in a chunk is the first
+    # bad step a one-step-at-a-time walk would find.
     for _ in range(3):
         best = float(hi.min()) if found.any() else s_max
         if best <= tol:
             break
         grid = np.linspace(0.0, best, _EXIT_VERIFY_STEPS + 1)[1:-1]
         earlier = np.zeros(m, dtype=bool)
-        prev = np.zeros(m)
-        for s in grid:
-            steps = np.full(m, s)
-            rows = all_rows[~earlier & (hi > s)]
-            if len(rows) == 0:
-                continue
-            bad = counts_at(steps[rows], rows) != target_count
-            sel = rows[bad]
-            if len(sel):
-                lo[sel] = prev[sel]
-                hi[sel] = s
-                found[sel] = True
-                earlier[sel] = True
-            prev[rows] = s
+        j = 0
+        while j < len(grid):
+            n_live = np.count_nonzero(~earlier & (hi > grid[j]))
+            if n_live == 0:
+                break
+            part = grid[j : j + max(1, _EXIT_BATCH_POINTS // n_live)]
+            rows, steps = np.nonzero((part < hi[:, None]) & ~earlier[:, None])
+            bad = counts_at(part[steps], rows) != target_count
+            sel, first = np.unique(rows[bad], return_index=True)
+            k = j + steps[bad][first]
+            lo[sel] = np.where(k > 0, grid[k - 1], 0.0)
+            hi[sel] = grid[k]
+            found[sel] = True
+            earlier[sel] = True
+            j += len(part)
         if not earlier.any():
             break
         bisect(all_rows[earlier])

@@ -12,6 +12,7 @@ from equirobust.geom3d import (
     aabb,
     centroid3,
     clip_halfspace3,
+    generator_prism,
     generator_truncated_cylinder,
     hull3,
     platonic,
@@ -181,6 +182,45 @@ class TestStableCount:
         counts = stable_count3(P, qs)
         assert counts.shape == (257,)
         assert counts.min() >= 0
+
+    def test_matches_foot_based_count(self):
+        rng = np.random.default_rng(11)
+        bodies = [platonic(name) for name in ("tetra", "cube", "octa", "dodeca", "icosa")]
+        bodies += [generator_prism(k, 1.5) for k in (3, 5, 8)]
+        bodies.append(generator_truncated_cylinder(1.0, 3.0))
+        bodies += [random_hull3(rng, n) for n in (8, 20, 60)]
+        for P in bodies:
+            a, nu, u, lengths = P.edge_frames
+            slot_face = P.slot_arrays[2]
+            lo, hi = P.coords.min(axis=0), P.coords.max(axis=0)
+            free = rng.uniform(2 * lo - hi, 2 * hi - lo, size=(400, 3))
+            # Points on every slot's wall (its edge line swept along the face
+            # normal), pushed 1e-9 of the scale to either side of it.
+            t = rng.uniform(0.1, 0.9, len(a)) * lengths
+            h = rng.uniform(-0.5, 0.5, len(a)) * P.scale
+            on_wall = a + t[:, None] * u + h[:, None] * P.plane_normals[slot_face]
+            step = 1e-9 * P.scale * nu
+            qs = np.concatenate([free, on_wall - step, on_wall + step])
+            assert np.array_equal(stable_count3(P, qs), _foot_based_count(P, qs))
+
+    def test_blocks_match_single_point_calls(self):
+        P = generator_truncated_cylinder(1.0, 3.0)
+        block = int(2e5) // len(P.slot_arrays[0])
+        qs = np.random.default_rng(5).uniform(-2.5, 2.5, size=(3 * block + 7, 3))
+        single = [stable_count3(P, q[None, :])[0] for q in qs]
+        assert np.array_equal(stable_count3(P, qs), single)
+
+
+def _foot_based_count(P, qs):
+    """Reference count: form every face's plane foot of each query, then take
+    the foot's largest signed distance to the face's edge lines."""
+    a, nu, _, _ = P.edge_frames
+    _, _, slot_face, starts = P.slot_arrays
+    n = P.plane_normals
+    heights = qs @ n.T - P.plane_offsets
+    feet = qs[:, None, :] - heights[:, :, None] * n[None, :, :]
+    sd = np.einsum("qsj,sj->qs", feet[:, slot_face, :] - a, nu)
+    return (np.maximum.reduceat(sd, starts[:-1], axis=1) < 0.0).sum(axis=1)
 
 
 class TestInternalRobustness:
