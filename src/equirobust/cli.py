@@ -185,6 +185,11 @@ def _emit(text: str, out: Optional[str]) -> None:
             sys.stdout.write("\n")
 
 
+def _given(value, default):
+    """An option's value, or its default when it was not given (0 is a value)."""
+    return default if value is None else value
+
+
 def _require_json_format(args) -> None:
     if args.format not in (None, "json"):
         raise CLIError(f"format {args.format!r} is not supported for this command")
@@ -228,16 +233,16 @@ def _cmd_robust(args) -> int:
         if args.seed is None:
             raise CLIError(f"kind {kind!r} is a seeded search: pass --seed")
         target = {"partial-s": "reduce_S", "partial-u": "reduce_U", "partial-any": "reduce_any"}[kind]
-        grid = (args.grid_theta or 32, args.grid_offset or 16)
+        grid = (_given(args.grid_theta, 32), _given(args.grid_offset, 16))
         report = plane_truncation_search(
-            shape, target, grid=grid, refine_tol=args.tol or 1e-4, seed=args.seed
+            shape, target, grid=grid, refine_tol=_given(args.tol, 1e-4), seed=args.seed
         )
     elif kind == "full-line":
         if dim != "2d":
             raise CLIError("kind 'full-line' needs a polygon")
         report = full_robustness_line_bound(
-            shape, grid_theta=args.grid_theta or 180, grid_offset=args.grid_offset or 48,
-            refine_tol=args.tol if args.tol is not None else 1e-6,
+            shape, grid_theta=_given(args.grid_theta, 180), grid_offset=_given(args.grid_offset, 48),
+            refine_tol=_given(args.tol, 1e-6),
         )
     elif kind == "ex":
         if dim != "2d":

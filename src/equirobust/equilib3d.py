@@ -476,7 +476,8 @@ def plane_truncation_search(
     sharpened by bisection between the best reducing offset and its
     non-reducing neighbor.  Degenerate pieces never count as reductions, so
     the result is an honest upper bound for all three targets, and the
-    ``reduce_any`` value is exactly min(reduce_S, reduce_U).
+    ``reduce_any`` value is exactly min(reduce_S, reduce_U).  ``refine_tol``
+    must be a positive finite number.
     """
     kinds = {"reduce_S": "partial_s", "reduce_U": "partial_u", "reduce_any": "partial_any"}
     if target not in kinds:
@@ -484,6 +485,8 @@ def plane_truncation_search(
     n_normals, n_offsets = grid
     if n_normals < 1 or n_offsets < 2:
         raise ValueError("grid needs at least 1 normal and 2 offsets")
+    if not (math.isfinite(refine_tol) and refine_tol > 0.0):
+        raise ValueError("refine_tol must be a positive finite number")
     eq0 = classify3(P, centroid3(P))
     if eq0.any_degenerate:
         raise DegenerateConfiguration("base classification is degenerate")

@@ -5,7 +5,9 @@ polygon class canonicalizes orientation and start vertex and stores its
 diameter.  The public constructor validates outside input; a clip piece is
 validated only by the ring cleanup, whose ring becomes the polygon directly.
 ``None`` plays the role of the empty polygon wherever clipping can eat the
-whole body.
+whole body.  The line searches and sweeps of ``robust2d`` clip many cuts at
+once with a batched copy of these rules; the scalar clip here is its
+fallback for cuts it cannot certify and its test oracle.
 """
 
 from __future__ import annotations

@@ -14,6 +14,11 @@ that the remainder, weighed at its own centroid, has fewer stable points.
 Monte Carlo truncation sweeps and the n-cut average-robustness estimator use
 the motion-invariant line measure (uniform angle, uniform offset across the
 support interval).
+
+The sweep and the line search evaluate their cuts with one batched
+evaluator, ``_CutEvaluator``, which gives the scalar clip-and-classify
+path's results bit for bit and hands it the few cuts it cannot certify.
+The average-robustness estimator cuts one piece at a time on the scalar path.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from . import tol
 from .equilib2d import equilibria, stable_count_batch
 from .errors import DegenerateConfiguration, ReferenceOutside, TooFewStable
 from .geom2d import (
+    _AREA_FLOOR,
     ConvexPolygon2,
     Ray2,
     area_outside_disk,
@@ -262,12 +268,222 @@ def _piece_stable(P: ConvexPolygon2, piece: Optional[ConvexPolygon2]) -> Optiona
     return eq.S
 
 
-def _evaluate_cut(P: ConvexPolygon2, total: float, nx: float, ny: float, d: float) -> tuple[float, Optional[int]]:
-    """Keep the side n·z <= d of ``P`` (area ``total``): the kept area fraction
-    and the piece's stable count from :func:`_piece_stable`."""
-    piece = clip_halfplane_nd(P, nx, ny, d)
-    kept = 0.0 if piece is None else 1.0 if piece is P else piece.area / total
-    return kept, _piece_stable(P, piece)
+#: Floats in one (rows, ring slots) temporary of the batched evaluator: 32 KB.
+_CUT_CHUNK_CELLS = 4096
+#: Largest polygon the batched evaluator takes: its run-diameter table stays under 1 MB.
+_CUT_MAX_VERTICES = 350
+#: Coordinate range it takes, so that no square underflows and no product overflows.
+_CUT_SCALE_RANGE = (1e-100, 1e100)
+#: Decisions that divide by an edge length are certified this far, in piece
+#: diameters, from their threshold: a length from ``np.sqrt`` may differ from
+#: ``math.hypot`` in the last bits.
+_LENGTH_SLACK = 1e-13
+
+
+class _CutEvaluator:
+    """Kept area fraction and piece stable count for batches of cuts of one polygon.
+
+    A call takes m cuts ``n·z <= d`` and returns, row for row and bit for bit,
+    what :func:`clip_halfplane_nd` followed by :func:`_piece_stable` gives: the
+    kept fraction of the area (1.0 when the cut misses, 0.0 when the piece
+    collapses) and the stable count at the piece's centroid (``None`` when
+    unusable).  Rows are evaluated in padded arrays of ``n + 3`` ring slots.
+    The kept vertices of a convex polygon form one cyclic run, so a piece's
+    ring is that run plus at most two crossing points, laid out from the
+    polygon's canonical start; area and centroid are then sequential sums in
+    the order the polygon itself sums them, and the foot and vertex tests of
+    :func:`equilibria` become masked reductions.  A row takes the scalar path
+    instead when its ring is one the cleanup would change, when a decision
+    made with a rounded length or area lies too close to its threshold to
+    certify, or when it is not finite; so do all rows of a polygon with more
+    than ``_CUT_MAX_VERTICES`` vertices or outside ``_CUT_SCALE_RANGE``.
+    """
+
+    def __init__(self, P: ConvexPolygon2):
+        self.P = P
+        self.total = P.area
+        xy = np.asarray(P.vertices)
+        # Vertex i sits in column i + 1, between copies of its cyclic neighbours.
+        self.X = np.concatenate([xy[-1:, 0], xy[:, 0], xy[:1, 0]])
+        self.Y = np.concatenate([xy[-1:, 1], xy[:, 1], xy[:1, 1]])
+        reach = float(np.abs(xy).max())
+        self.batched = P.n <= _CUT_MAX_VERTICES and _CUT_SCALE_RANGE[0] <= P.diameter and reach <= _CUT_SCALE_RANGE[1]
+        if self.batched:
+            self.run_diam_sq = self._run_table(xy[:, 0], xy[:, 1])
+            # Two sequential sums of the same L <= n + 1 shoelace terms, each
+            # at most 2 reach^2, differ by less than 2 (L - 1) u sum|terms|.
+            self.area_slack = 4.0 * (P.n + 1) ** 2 * 2.0**-53 * reach * reach
+
+    @staticmethod
+    def _run_table(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Entry ``[a, l]``: the largest squared distance among the ``l``
+        cyclically consecutive vertices from ``a``.  A squared difference is
+        symmetric in floating point, so each entry equals ``_max_pairwise_sq``."""
+        n = len(X)
+        dx = X[None, :] - X[:, None]
+        dy = Y[None, :] - Y[:, None]
+        dist = dx * dx + dy * dy
+        a = np.arange(n)
+        table = np.zeros((n, n + 1))
+        for l in range(2, n + 1):
+            table[:, l] = np.maximum(np.maximum(table[:, l - 1], table[(a + 1) % n, l - 1]), dist[a, (a + l - 1) % n])
+        return table
+
+    def __call__(self, nx, ny, d) -> tuple[list[float], list[Optional[int]]]:
+        nx, ny, d = (np.asarray(v, dtype=float).reshape(-1) for v in (nx, ny, d))
+        m = len(d)
+        kept = np.ones(m)
+        count = np.full(m, -1)
+        scalar = np.ones(m, dtype=bool)
+        if self.batched:
+            rows = max(1, _CUT_CHUNK_CELLS // (self.P.n + 3))
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                for lo in range(0, m, rows):
+                    part = slice(lo, lo + rows)
+                    scalar[part] = self._certified(nx[part], ny[part], d[part], kept[part], count[part])
+        kept_out = kept.tolist()
+        count_out: list[Optional[int]] = [None if c < 0 else c for c in count.tolist()]
+        for i in np.flatnonzero(scalar).tolist():
+            piece = clip_halfplane_nd(self.P, nx[i], ny[i], d[i])
+            kept_out[i] = 0.0 if piece is None else 1.0 if piece is self.P else piece.area / self.total
+            count_out[i] = _piece_stable(self.P, piece)
+        return kept_out, count_out
+
+    def _certified(self, nx, ny, d, kept, count) -> np.ndarray:
+        """Fill ``kept`` and ``count`` (-1 for ``None``) of the rows the batched
+        pass certifies; return the mask of rows left to the scalar path."""
+        X, Y = self.X, self.Y
+        n = len(X) - 2
+        eps = self.P.eps
+        sw = nx[:, None] * X + ny[:, None] * Y - d[:, None]
+        keep_w = sw <= eps
+        keep = keep_w[:, 1:-1]
+        run_start = keep & ~keep_w[:, :-2]
+        k = keep.sum(1)
+        scalar = ~(np.isfinite(nx) & np.isfinite(ny) & np.isfinite(d)) | (run_start.sum(1) > 1)
+        kept[k < n] = 0.0  # collapsed, unless a piece is built below
+        # The run's end vertices, strictly inside, each meet a crossing point.
+        a = np.argmax(run_start, 1)
+        r = np.arange(len(d))
+        z = (a + k - 1) % n
+        has_in = sw[r, a + 1] < -eps
+        has_out = sw[r, z + 1] < -eps
+        size = k + has_in + has_out
+        li = np.flatnonzero((k < n) & ~scalar & (size >= 3))
+        if not len(li):
+            return scalar
+        sw, keep, a, z, k, has_in, has_out, size = sw[li], keep[li], a[li], z[li], k[li], has_in[li], has_out[li], size[li]
+        q = len(li)
+        r = np.arange(q)
+        last = size - 1
+
+        def crossing(i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """Where the cut meets edge i -> i + 1, as the clip computes it."""
+            si = sw[r, i + 1]
+            t = si / (si - sw[r, i + 2])
+            return X[i + 1] + t * (X[i + 2] - X[i + 1]), Y[i + 1] + t * (Y[i + 2] - Y[i + 1])
+
+        inx, iny = crossing((a - 1) % n)
+        outx, outy = crossing(z)
+
+        # The ring, cyclically: crossing in, kept vertices a..z, crossing out.
+        # It starts at its lowest, then leftmost point, as the polygon does.
+        # Two points tie only when they coincide, and then the cleanup merges
+        # them, so such a row goes to the scalar path whatever start is chosen.
+        inf = np.inf
+        low_y = np.minimum(
+            np.where(keep, Y[1:-1], inf).min(1), np.minimum(np.where(has_in, iny, inf), np.where(has_out, outy, inf))
+        )
+        at_low = keep & (Y[1:-1] == low_y[:, None])
+        in_low = has_in & (iny == low_y)
+        out_low = has_out & (outy == low_y)
+        low_x = np.minimum(
+            np.where(at_low, X[1:-1], inf).min(1), np.minimum(np.where(in_low, inx, inf), np.where(out_low, outx, inf))
+        )
+        vertex_start = has_in + (np.argmax(at_low & (X[1:-1] == low_x[:, None]), 1) - a) % n
+        start = np.where(in_low & (inx == low_x), 0, np.where(out_low & (outx == low_x), last, vertex_start))
+
+        # Ring point j sits in slot j + 1; slot 0 repeats the last point and
+        # slot size + 1 the first.
+        width = n + 3
+        e = (np.arange(width)[None, :] - 1 + start[:, None]) % size[:, None]
+        is_in = e < has_in[:, None]
+        is_out = e >= (has_in + k)[:, None]
+        vi = (a[:, None] + e - has_in[:, None]) % n + 1
+        RX = np.where(is_in, inx[:, None], np.where(is_out, outx[:, None], X[vi]))
+        RY = np.where(is_in, iny[:, None], np.where(is_out, outy[:, None], Y[vi]))
+        VX, VY = RX[:, 1:-1], RY[:, 1:-1]
+        valid = np.arange(width - 2) < size[:, None]
+
+        # Squared diameter: the kept run from the table, then every pair with
+        # a crossing point.
+        diam_sq = self.run_diam_sq[a, k]
+        for has, cx, cy in ((has_in, inx, iny), (has_out, outx, outy)):
+            dx = VX - cx[:, None]
+            dy = VY - cy[:, None]
+            diam_sq = np.maximum(diam_sq, np.where(valid & has[:, None], dx * dx + dy * dy, 0.0).max(1))
+
+        # Edge j + 1 runs from ring point j to the next, edge j into point j.
+        # The cleanup changes nothing when no neighbours are within the merge
+        # distance and every turn exceeds its tolerance.
+        EXW = np.diff(RX, axis=1)
+        EYW = np.diff(RY, axis=1)
+        EX, EY, PX, PY = EXW[:, 1:], EYW[:, 1:], EXW[:, :-1], EYW[:, :-1]
+        LSQ = EXW * EXW + EYW * EYW
+        root = tol.EPS_GEOM * np.sqrt(diam_sq)
+        merge_hi = root * root * (1.0 + 1e-12)  # above the scalar's (...)**2 by more than its rounding
+        cross_tol = 2.0 * tol.EPS_GEOM * diam_sq
+        clean = (~valid | ((LSQ[:, 1:] > merge_hi[:, None]) & (PX * EY - PY * EX > cross_tol[:, None]))).all(1)
+
+        # Area and centroid from the canonical start.  The cleanup's floor test
+        # sums the same terms from the clip's first point instead; a row whose
+        # area lies within the bound on that difference is not certified.
+        w = VX * RY[:, 2:] - RX[:, 2:] * VY
+        terms = np.stack((w, (VX + RX[:, 2:]) * w, (VY + RY[:, 2:]) * w), 2)
+        terms[:, 0] += 0.0  # the scalar sums start from +0.0
+        sums = np.cumsum(terms, 1)[r, last]
+        area = 0.5 * sums[:, 0]
+        floor = _AREA_FLOOR * diam_sq
+        big = area > floor + self.area_slack
+        small = area <= floor - self.area_slack
+        six_a = 6.0 * area
+        px = sums[:, 1] / six_a
+        py = sums[:, 2] / six_a
+
+        # Classification at the centroid: the interior margin, each foot's
+        # position along its edge (also the next-edge projection of the
+        # unstable-vertex test) and the projection on the previous edge.
+        diam = np.sqrt(diam_sq)
+        eps_p = tol.EPS_GEOM * diam
+        slack = _LENGTH_SLACK * diam
+        ep = eps_p[:, None]
+        sl = slack[:, None]
+        LENW = np.sqrt(LSQ)
+        LEN = LENW[:, 1:]
+        ax = px[:, None] - VX
+        ay = py[:, None] - VY
+        margin = np.where(valid, (EX * ay - EY * ax) / LEN, inf).min(1)
+        foot = (ax * EX + ay * EY) / LEN
+        back = (ax * -PX + ay * -PY) / LENW[:, :-1]
+        af, ab, ad = np.abs(foot), np.abs(back), np.abs(foot - LEN)
+        near = valid & ((np.abs(af - ep) <= sl) | (np.abs(ab - ep) <= sl) | (np.abs(ad - ep) <= sl))
+        outside = margin < eps_p - slack
+        sure = outside | ((margin > eps_p + slack) & ~near.any(1))
+        stable = valid & (foot > ep) & (foot < LEN - ep)
+        unstable = valid & (back > ep) & (foot > ep)
+        flagged = valid & ((af <= ep) | (ad <= ep) | (~unstable & (back >= -ep) & (foot >= -ep) & ((ab <= ep) | (af <= ep))))
+        S = stable.sum(1)
+        # Stable and unstable points alternate around the boundary exactly when
+        # the walk +1 per unstable vertex, -1 per stable foot (vertex j before
+        # the foot on edge j) stays on two neighbouring levels, 0 among them.
+        walk = np.cumsum(unstable.astype(np.int8) - stable, 1)
+        alternate = np.maximum((walk + stable).max(1), 0) - np.minimum(walk.min(1), 0) <= 1
+        usable = ~outside & ~flagged.any(1) & (S == unstable.sum(1)) & alternate
+
+        kept[li] = np.where(big, area / self.total, 0.0)
+        count[li] = np.where(big & usable, S, -1)
+        scalar[li] = ~clean | ~(big | small) | (big & ~sure)
+        return scalar
 
 
 def full_robustness_line_bound(
@@ -282,60 +498,78 @@ def full_robustness_line_bound(
     uniform over [0, pi), offsets across the support interval), keeps pieces
     whose stable count at their own centroid drops below the original count,
     and refines the best offset per direction and side by bisection down to
-    ``refine_tol`` (in offset units; ``None`` skips refinement).  Returns the
-    minimal relative area removed, which bounds the full robustness from
-    above, or ``status="no_reduction_found"``.
+    ``refine_tol`` (in offset units; ``None`` skips refinement), or until the
+    midpoint equals an end of its bracket.  Returns the minimal relative area
+    removed, which bounds the full robustness from above, or
+    ``status="no_reduction_found"``.
+
+    Each direction's grid cuts are one batch; the brackets of all directions
+    and sides are then bisected in lockstep, one batch per step.
     """
+    if grid_theta < 1 or grid_offset < 1:
+        raise ValueError("grid needs at least 1 direction and 1 offset")
+    if refine_tol is not None and not (math.isfinite(refine_tol) and refine_tol > 0.0):
+        raise ValueError("refine_tol must be None or a positive finite number")
     eq0 = equilibria(P, P.centroid)
     if eq0.any_degenerate:
         raise DegenerateConfiguration("polygon is degenerate at its centroid")
     S0 = eq0.S
-    total = P.area
+    evaluate = _CutEvaluator(P)
 
-    best_val = math.inf
-    best_witness: Optional[dict] = None
-
+    # One bracket per (direction, side) with a reducing grid cut, in (j, side)
+    # order: the reducing offset, its relative area removed, the other end.
+    thetas, sides, normals, d_red, rel_red, d_ok = [], [], [], [], [], []
     for j in range(grid_theta):
         theta = j * math.pi / grid_theta
         nx, ny = math.cos(theta), math.sin(theta)
         lo, hi = P.support_interval(nx, ny)
         offsets = np.linspace(lo, hi, grid_offset + 2)[1:-1]
-        for side in (+1, -1):
-            # For side +1 the kept part grows with d, so the cheapest reducing
-            # cut sits at the largest reducing offset (smallest for side -1).
-            reducing = []
-            for d in offsets:
-                kept, s = _evaluate_cut(P, total, side * nx, side * ny, side * d)
-                if s is not None and s < S0:
-                    reducing.append((d, 1.0 - kept))
+        g = len(offsets)
+        kept, counts = evaluate([nx] * g + [-nx] * g, [ny] * g + [-ny] * g, np.concatenate([offsets, -offsets]))
+        step = offsets[1] - offsets[0] if g > 1 else (hi - lo)
+        for side, base in ((+1, 0), (-1, g)):
+            reducing = [i for i in range(g) if counts[base + i] is not None and counts[base + i] < S0]
             if not reducing:
                 continue
-            step = offsets[1] - offsets[0] if len(offsets) > 1 else (hi - lo)
+            # For side +1 the kept part grows with d, so the cheapest reducing
+            # cut sits at the largest reducing offset (smallest for side -1).
             if side == +1:
-                d_red, rel_red = max(reducing, key=lambda t: t[0])
-                d_ok = min(d_red + step, hi)
+                i = max(reducing, key=lambda i: offsets[i])
+                d_ok.append(min(offsets[i] + step, hi))
             else:
-                d_red, rel_red = min(reducing, key=lambda t: t[0])
-                d_ok = max(d_red - step, lo)
-            if refine_tol is not None:
-                a, b = d_red, d_ok
-                while abs(b - a) > refine_tol:
-                    mid = 0.5 * (a + b)
-                    kept, s = _evaluate_cut(P, total, side * nx, side * ny, side * mid)
-                    if s is not None and s < S0:
-                        a = mid
-                        rel_red, d_red = 1.0 - kept, mid
-                    else:
-                        b = mid
-            if rel_red < best_val:
-                best_val = rel_red
-                best_witness = {
-                    "type": "line",
-                    "theta": theta,
-                    "offset": d_red,
-                    "side": side,
-                    "relative_area_removed": rel_red,
-                }
+                i = min(reducing, key=lambda i: offsets[i])
+                d_ok.append(max(offsets[i] - step, lo))
+            thetas.append(theta)
+            sides.append(side)
+            normals.append((side * nx, side * ny))
+            d_red.append(offsets[i])
+            rel_red.append(1.0 - kept[base + i])
+
+    side_a, normal_a = np.array(sides), np.array(normals).reshape(-1, 2)
+    d_red, rel_red, d_ok = np.array(d_red, dtype=float), np.array(rel_red), np.array(d_ok, dtype=float)
+    live = np.full(len(d_red), refine_tol is not None)
+    while live.any():
+        mid = 0.5 * (d_red + d_ok)
+        live &= (np.abs(d_ok - d_red) > refine_tol) & (mid != d_red) & (mid != d_ok)
+        idx = np.flatnonzero(live)
+        kept, counts = evaluate(normal_a[idx, 0], normal_a[idx, 1], side_a[idx] * mid[idx])
+        reduces = np.array([s is not None and s < S0 for s in counts], dtype=bool)
+        d_red[idx[reduces]] = mid[idx[reduces]]
+        rel_red[idx[reduces]] = 1.0 - np.array(kept)[reduces]
+        d_ok[idx[~reduces]] = mid[idx[~reduces]]
+
+    best_val = math.inf
+    best_witness: Optional[dict] = None
+    for theta, side, d, rel in zip(thetas, sides, d_red.tolist(), rel_red.tolist()):
+        if rel < best_val:
+            best_val = rel
+            best_witness = {
+                "type": "line",
+                "theta": theta,
+                "offset": d,
+                "side": side,
+                "relative_area_removed": rel,
+            }
 
     found = best_witness is not None
     return RobustnessReport(
@@ -412,15 +646,20 @@ def truncation_sweep(P: ConvexPolygon2, samples: int, seed: int, bins: int = 20)
         raise ValueError("samples must be positive")
     eq0 = equilibria(P, P.centroid)
     S0 = eq0.S
-    total = P.area
     thetas, offsets = _draw_sweep_lines(P, samples, seed)
+    # math.cos and math.sin, as the scalar path: numpy's may differ in the last bit.
+    nx = np.array([math.cos(t) for t in thetas.tolist()])
+    ny = np.array([math.sin(t) for t in thetas.tolist()])
+    # Rows alternate sides: line i gives rows 2i (side +1) and 2i + 1 (side -1).
+    kept, counts = _CutEvaluator(P)(
+        np.column_stack([nx, -nx]), np.column_stack([ny, -ny]), np.column_stack([offsets, -offsets])
+    )
     rows: list[TruncationSample] = []
-    for theta, d in zip(thetas, offsets):
-        nx, ny = math.cos(theta), math.sin(theta)
-        for side in (+1, -1):
-            rel, s = _evaluate_cut(P, total, side * nx, side * ny, side * d)
+    for i, (theta, d) in enumerate(zip(thetas.tolist(), offsets.tolist())):
+        for side, k in ((+1, 2 * i), (-1, 2 * i + 1)):
+            s = counts[k]
             delta = None if s is None else s - S0
-            rows.append(TruncationSample(float(theta), float(d), side, rel, s, delta, s is None))
+            rows.append(TruncationSample(theta, d, side, kept[k], s, delta, s is None))
     return rows, summarize_sweep(rows, bins)
 
 
