@@ -471,6 +471,8 @@ class _CutEvaluator:
         sure = outside | ((margin > eps_p + slack) & ~near.any(1))
         stable = valid & (foot > ep) & (foot < LEN - ep)
         unstable = valid & (back > ep) & (foot > ep)
+        # A clean ring's edges exceed 2 eps (a shorter one fails the turn
+        # test), so a foot within eps of one end lies inside its edge's band.
         flagged = valid & ((af <= ep) | (ad <= ep) | (~unstable & (back >= -ep) & (foot >= -ep) & ((ab <= ep) | (af <= ep))))
         S = stable.sum(1)
         # Stable and unstable points alternate around the boundary exactly when
