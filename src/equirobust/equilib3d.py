@@ -16,7 +16,9 @@ direction-sampled first-exit search provides an independent check.
 ``plane_truncation_search`` estimates partial robustness: the smallest
 relative volume a single plane cut must remove so that the kept piece, judged
 at its own centroid, has fewer stable points (or fewer unstable points, or
-either) than the original.
+either) than the original.  Its cuts are ``m·z <= e`` with a signed normal
+``m = side·n``, and one dict per signed normal keeps each cut's evaluation,
+so no cut is clipped twice.
 """
 
 from __future__ import annotations
@@ -474,14 +476,25 @@ def plane_truncation_search(
     each normal's support interval.  Both pieces of every cut are judged at
     their own centroids.  The cheapest transition per (normal, piece side) is
     sharpened by bisection between the best reducing offset and its
-    non-reducing neighbor.  Degenerate pieces never count as reductions, so
-    the result is an honest upper bound for all three targets, and the
-    ``reduce_any`` value is exactly min(reduce_S, reduce_U).  ``refine_tol``
-    must be a positive finite number.
+    non-reducing neighbor, until the volumes the two ends remove differ by at
+    most ``refine_tol`` (a relative volume; positive and finite), for at most
+    60 steps, or until the bracket cannot beat the best cut so far.
+    Degenerate pieces never count as reductions, so the result is an honest
+    upper bound for all three targets, and the ``reduce_any`` value is exactly
+    min(reduce_S, reduce_U).
+
+    A cut is ``m·z <= e`` with the signed normal ``m = side·n`` and
+    ``e = side·d``; the ``-n`` family's grid is ``-offsets[::-1]`` and its
+    support end ``-lo``.  The kept piece grows with ``e``, so the last
+    reducing grid cut is the cheapest and its bracket runs toward the support
+    end.  Each signed normal keeps a dict from ``e`` to the cut's evaluation,
+    which the grid fills and the bracket ends and both bisections read.  The
+    witness reports ``n``, the unsigned ``offset = side·e`` and the side.
     """
-    kinds = {"reduce_S": "partial_s", "reduce_U": "partial_u", "reduce_any": "partial_any"}
+    kinds = {"reduce_S": ("partial_s", "S"), "reduce_U": ("partial_u", "U"), "reduce_any": ("partial_any", "SU")}
     if target not in kinds:
         raise ValueError(f"target must be one of {sorted(kinds)}")
+    kind, preds = kinds[target]
     n_normals, n_offsets = grid
     if n_normals < 1 or n_offsets < 2:
         raise ValueError("grid needs at least 1 normal and 2 offsets")
@@ -494,51 +507,36 @@ def plane_truncation_search(
     vol0 = volume(P)
     normals = fibonacci_sphere(n_normals) @ rotation_from_seed(seed).T
 
-    def evaluate(n: np.ndarray, d: float, side: int):
-        """(relative volume removed, reduces_S, reduces_U) or None."""
-        piece = clip_halfspace3(P, side * n, side * d)
-        if piece is None or piece is P:
-            return None
-        counts = _search_counts(piece)
-        if counts is None:
-            return None
-        rel = 1.0 - volume(piece) / vol0
-        return rel, counts[0] < S0, counts[1] < U0
+    def evaluate(m: np.ndarray, e: float, seen: dict):
+        """(relative volume removed, reduces_S, reduces_U) of the cut m·z <= e,
+        or None; ``seen`` holds the cuts of normal m already evaluated."""
+        if e not in seen:
+            piece = clip_halfspace3(P, m, e)
+            counts = None if piece is None or piece is P else _search_counts(piece)
+            seen[e] = None if counts is None else (1.0 - volume(piece) / vol0, counts[0] < S0, counts[1] < U0)
+        return seen[e]
 
     best: dict[str, Optional[dict]] = {"S": None, "U": None}
-
-    def offer(pred: str, rel: float, n: np.ndarray, d: float, side: int) -> None:
-        if best[pred] is None or rel < best[pred]["relative_volume_removed"]:
-            best[pred] = {
-                "type": "plane",
-                "normal": [float(c) for c in n],
-                "offset": float(d),
-                "side": side,
-                "relative_volume_removed": float(rel),
-            }
 
     for n in normals:
         lo, hi = P.support_interval(n)
         offs = np.linspace(lo, hi, n_offsets + 2)[1:-1]
-        rows = {+1: [], -1: []}
-        for d in offs:
-            for side in (+1, -1):
-                res = evaluate(n, float(d), side)
-                if res is not None:
-                    rows[side].append((float(d), res))
-        for side in (+1, -1):
+        for side, grid, end in ((+1, offs.tolist(), hi), (-1, (-offs[::-1]).tolist(), -lo)):
+            m = side * n
+            seen = {}
+            for e in grid:
+                evaluate(m, e, seen)
             for pred_idx, pred in ((1, "S"), (2, "U")):
-                reducing = [(d, r[0]) for d, r in rows[side] if r[pred_idx]]
+                reducing = [e for e in grid if seen[e] is not None and seen[e][pred_idx]]
                 if not reducing:
                     continue
-                d_a, rel_a = min(reducing, key=lambda t: t[1])
-                # Bracket against the non-reducing neighbor on the cheaper
-                # side; the support endpoint (nothing removed) always works.
-                if side == +1:
-                    d_b = min((d for d, r in rows[side] if not r[pred_idx] and d > d_a), default=hi)
-                else:
-                    d_b = max((d for d, r in rows[side] if not r[pred_idx] and d < d_a), default=lo)
-                res_b = evaluate(n, d_b, side)
+                # The kept part grows with e, so the last reducing grid cut is
+                # the cheapest.  Bracket it against the next usable grid cut,
+                # or the support end (nothing removed).
+                e_a = reducing[-1]
+                rel_a = seen[e_a][0]
+                e_b = next((e for e in grid if e > e_a and seen[e] is not None), end)
+                res_b = evaluate(m, e_b, seen)
                 rel_b = res_b[0] if res_b is not None else 0.0
                 for _ in range(60):
                     if abs(rel_a - rel_b) <= refine_tol:
@@ -546,27 +544,30 @@ def plane_truncation_search(
                     cur = best[pred]
                     if cur is not None and rel_b >= cur["relative_volume_removed"]:
                         break  # this bracket cannot beat the incumbent
-                    mid = 0.5 * (d_a + d_b)
-                    res = evaluate(n, mid, side)
+                    mid = 0.5 * (e_a + e_b)
+                    res = evaluate(m, mid, seen)
                     if res is not None and res[pred_idx]:
-                        d_a, rel_a = mid, res[0]
+                        e_a, rel_a = mid, res[0]
                     else:
-                        d_b = mid
+                        e_b = mid
                         if res is not None:
                             rel_b = res[0]
-                offer(pred, rel_a, n, d_a, side)
+                if best[pred] is None or rel_a < best[pred]["relative_volume_removed"]:
+                    best[pred] = {
+                        "type": "plane",
+                        "normal": [float(c) for c in n],
+                        # A bracket (-x, x) bisects to e = +0.0, where side·e is -0.0:
+                        # the unsigned offset of that cut is +0.0.
+                        "offset": side * e_a + 0.0,
+                        "side": side,
+                        "relative_volume_removed": float(rel_a),
+                    }
 
-    vS = None if best["S"] is None else best["S"]["relative_volume_removed"]
-    vU = None if best["U"] is None else best["U"]["relative_volume_removed"]
-    if target == "reduce_S":
-        value, witness = vS, best["S"]
-    elif target == "reduce_U":
-        value, witness = vU, best["U"]
-    else:
-        pool = [(v, w) for v, w in ((vS, best["S"]), (vU, best["U"])) if v is not None]
-        value, witness = min(pool, key=lambda t: t[0]) if pool else (None, None)
+    vS, vU = (None if best[p] is None else best[p]["relative_volume_removed"] for p in "SU")
+    witness = min((best[p] for p in preds if best[p] is not None), key=lambda w: w["relative_volume_removed"], default=None)
+    value = None if witness is None else witness["relative_volume_removed"]
     return RobustnessReport(
-        kind=kinds[target],
+        kind=kind,
         value=value,
         method="search",
         witness=witness,

@@ -213,9 +213,6 @@ class ConvexPolyhedron3:
         q = np.asarray(p, dtype=float)
         return float(np.min(self.plane_offsets - self.plane_normals @ q))
 
-    def contains(self, p: Sequence[float]) -> bool:
-        return self.interior_margin(p) >= -self.eps
-
     def support_interval(self, n: Sequence[float]) -> tuple[float, float]:
         proj = self.coords @ np.asarray(n, dtype=float)
         return float(proj.min()), float(proj.max())

@@ -15,6 +15,11 @@ Monte Carlo truncation sweeps and the n-cut average-robustness estimator use
 the motion-invariant line measure (uniform angle, uniform offset across the
 support interval).
 
+A side of a cut is a signed normal: the piece on side ``side`` of the line
+``n·z = d`` is the half plane ``m·z <= e`` with ``m = side·n`` and
+``e = side·d``, so the kept part grows with ``e`` on both sides.  Every cut
+in this module, the sector clips of ``rho_ex_exact`` included, is written so.
+
 The sweep and the line search evaluate their cuts with one batched
 evaluator, ``_CutEvaluator``, which gives the scalar clip-and-classify
 path's results bit for bit and hands it the few cuts it cannot certify.
@@ -139,10 +144,13 @@ def rho_in_sampled(P: ConvexPolygon2, p: Sequence[float], directions: int = 720,
     Walks evenly spaced directions from ``p`` and bisects the first step at
     which the stable count (relaxed variant, valid for exterior points)
     changes; the smallest such distance over all directions, normalized by the
-    perimeter, estimates the internal robustness from above.
+    perimeter, estimates the internal robustness from above.  ``directions``
+    must be positive.
     """
     from .util import first_exit_distances
 
+    if directions < 1:
+        raise ValueError("directions must be positive")
     eq = equilibria(P, p)
     if eq.any_degenerate:
         raise DegenerateConfiguration("reference point gives a degenerate configuration")
@@ -188,6 +196,13 @@ def rho_ex_exact(P: ConvexPolygon2, p: Sequence[float]) -> RobustnessReport:
     best = math.inf
     best_idx = -1
     sector_areas = []
+
+    def halfplane(Q, u, side):  # Q left (+1) or right (-1) of the ray from p along u
+        return None if Q is None else clip_halfplane_nd(Q, side * u[1], -side * u[0], side * (u[1] * px - u[0] * py))
+
+    def measure(Q, r):  # area, and area outside the disk of radius r about p
+        return (0.0, 0.0) if Q is None else (Q.area, area_outside_disk(Q, (px, py), r))
+
     for i in range(S):
         ax, ay = feet[i].location
         bx, by = feet[(i + 1) % S].location
@@ -196,39 +211,16 @@ def rho_ex_exact(P: ConvexPolygon2, p: Sequence[float]) -> RobustnessReport:
         r = max(math.hypot(*u1), math.hypot(*u2))
         cr = u1[0] * u2[1] - u1[1] * u2[0]
         dot = u1[0] * u2[0] + u1[1] * u2[1]
-        # Half planes through p: left of the ray toward foot i, right of the
-        # ray toward foot i+1.
-        def clip_left(Q, ux, uy):
-            if Q is None:
-                return None
-            return clip_halfplane_nd(Q, uy, -ux, uy * px - ux * py)
-
-        def clip_right(Q, ux, uy):
-            if Q is None:
-                return None
-            return clip_halfplane_nd(Q, -uy, ux, -uy * px + ux * py)
-
-        if cr > cross_tol or (abs(cr) <= cross_tol and dot > 0.0):
-            sector = clip_right(clip_left(P, *u1), *u2)
-            area_i = sector.area if sector is not None else 0.0
-            x_i = area_outside_disk(sector, (px, py), r) if sector is not None else 0.0
-        else:
+        # The sector lies left of the ray toward foot i and right of the ray
+        # toward foot i+1.
+        h1 = halfplane(P, u1, +1)
+        area_i, x_i = measure(halfplane(h1, u2, -1), r)
+        if not (cr > cross_tol or (abs(cr) <= cross_tol and dot > 0.0)):
             # Reflex sector (angle >= pi): the wedge is the union of the two
             # half planes; use inclusion-exclusion over convex clips.
             log.debug("reflex sector %d at reference %r", i, (px, py))
-            h1 = clip_left(P, *u1)
-            h2 = clip_right(P, *u2)
-            h12 = clip_right(h1, *u2)
-            area_i = (
-                (h1.area if h1 is not None else 0.0)
-                + (h2.area if h2 is not None else 0.0)
-                - (h12.area if h12 is not None else 0.0)
-            )
-            x_i = (
-                (area_outside_disk(h1, (px, py), r) if h1 is not None else 0.0)
-                + (area_outside_disk(h2, (px, py), r) if h2 is not None else 0.0)
-                - (area_outside_disk(h12, (px, py), r) if h12 is not None else 0.0)
-            )
+            (a1, x1), (a2, x2) = measure(h1, r), measure(halfplane(P, u2, -1), r)
+            area_i, x_i = a1 + a2 - area_i, x1 + x2 - x_i
         sector_areas.append(area_i)
         if x_i < best:
             best = x_i
@@ -505,8 +497,12 @@ def full_robustness_line_bound(
     removed, which bounds the full robustness from above, or
     ``status="no_reduction_found"``.
 
-    Each direction's grid cuts are one batch; the brackets of all directions
-    and sides are then bisected in lockstep, one batch per step.
+    Each direction gives two families of cuts ``m·z <= e``, ``m = side·n``;
+    the ``-n`` family's grid is ``-offsets[::-1]`` and its support end
+    ``-lo``.  The last reducing grid cut along ``e`` is the cheapest, and its
+    bracket runs one grid step toward the support end.  All grid cuts are one
+    batch; the brackets are then bisected in lockstep, one batch per step.
+    The witness reports the unsigned offset ``side·e`` and the side.
     """
     if grid_theta < 1 or grid_offset < 1:
         raise ValueError("grid needs at least 1 direction and 1 offset")
@@ -518,57 +514,52 @@ def full_robustness_line_bound(
     S0 = eq0.S
     evaluate = _CutEvaluator(P)
 
-    # One bracket per (direction, side) with a reducing grid cut, in (j, side)
-    # order: the reducing offset, its relative area removed, the other end.
-    thetas, sides, normals, d_red, rel_red, d_ok = [], [], [], [], [], []
-    for j in range(grid_theta):
-        theta = j * math.pi / grid_theta
+    # Family 2j + 0 is direction j's side +1, family 2j + 1 its side -1.
+    thetas = [j * math.pi / grid_theta for j in range(grid_theta)]
+    normals, grids, ends, steps = [], [], [], []
+    for theta in thetas:
         nx, ny = math.cos(theta), math.sin(theta)
         lo, hi = P.support_interval(nx, ny)
         offsets = np.linspace(lo, hi, grid_offset + 2)[1:-1]
-        g = len(offsets)
-        kept, counts = evaluate([nx] * g + [-nx] * g, [ny] * g + [-ny] * g, np.concatenate([offsets, -offsets]))
-        step = offsets[1] - offsets[0] if g > 1 else (hi - lo)
-        for side, base in ((+1, 0), (-1, g)):
-            reducing = [i for i in range(g) if counts[base + i] is not None and counts[base + i] < S0]
-            if not reducing:
-                continue
-            # For side +1 the kept part grows with d, so the cheapest reducing
-            # cut sits at the largest reducing offset (smallest for side -1).
-            if side == +1:
-                i = max(reducing, key=lambda i: offsets[i])
-                d_ok.append(min(offsets[i] + step, hi))
-            else:
-                i = min(reducing, key=lambda i: offsets[i])
-                d_ok.append(max(offsets[i] - step, lo))
-            thetas.append(theta)
-            sides.append(side)
-            normals.append((side * nx, side * ny))
-            d_red.append(offsets[i])
-            rel_red.append(1.0 - kept[base + i])
+        step = offsets[1] - offsets[0] if grid_offset > 1 else hi - lo
+        normals += [(nx, ny), (-nx, -ny)]
+        grids += [offsets, -offsets[::-1]]
+        ends += [hi, -lo]
+        steps += [step, step]
+    M, E = np.array(normals), np.array(grids)
+    kept, counts = evaluate(M[:, 0].repeat(grid_offset), M[:, 1].repeat(grid_offset), E)
+    reducing = np.array([s is not None and s < S0 for s in counts], dtype=bool).reshape(E.shape)
 
-    side_a, normal_a = np.array(sides), np.array(normals).reshape(-1, 2)
-    d_red, rel_red, d_ok = np.array(d_red, dtype=float), np.array(rel_red), np.array(d_ok, dtype=float)
-    live = np.full(len(d_red), refine_tol is not None)
+    # One bracket per family with a reducing grid cut, in family order, from
+    # its last reducing grid cut along e, the cheapest.
+    fam = np.flatnonzero(reducing.any(1))
+    i = grid_offset - 1 - np.argmax(reducing[fam, ::-1], 1)
+    e_red = E[fam, i]
+    rel_red = 1.0 - np.array(kept).reshape(E.shape)[fam, i]
+    e_ok = np.minimum(e_red + np.array(steps)[fam], np.array(ends)[fam])
+    live = np.full(len(fam), refine_tol is not None)
     while live.any():
-        mid = 0.5 * (d_red + d_ok)
-        live &= (np.abs(d_ok - d_red) > refine_tol) & (mid != d_red) & (mid != d_ok)
+        mid = 0.5 * (e_red + e_ok)
+        live &= (np.abs(e_ok - e_red) > refine_tol) & (mid != e_red) & (mid != e_ok)
         idx = np.flatnonzero(live)
-        kept, counts = evaluate(normal_a[idx, 0], normal_a[idx, 1], side_a[idx] * mid[idx])
+        kept, counts = evaluate(M[fam[idx], 0], M[fam[idx], 1], mid[idx])
         reduces = np.array([s is not None and s < S0 for s in counts], dtype=bool)
-        d_red[idx[reduces]] = mid[idx[reduces]]
+        e_red[idx[reduces]] = mid[idx[reduces]]
         rel_red[idx[reduces]] = 1.0 - np.array(kept)[reduces]
-        d_ok[idx[~reduces]] = mid[idx[~reduces]]
+        e_ok[idx[~reduces]] = mid[idx[~reduces]]
 
     best_val = math.inf
     best_witness: Optional[dict] = None
-    for theta, side, d, rel in zip(thetas, sides, d_red.tolist(), rel_red.tolist()):
+    for f, e, rel in zip(fam.tolist(), e_red.tolist(), rel_red.tolist()):
         if rel < best_val:
+            side = 1 - 2 * (f % 2)
             best_val = rel
             best_witness = {
                 "type": "line",
-                "theta": theta,
-                "offset": d,
+                "theta": thetas[f // 2],
+                # A bracket (-x, x) bisects to e = +0.0, where side·e is -0.0:
+                # the unsigned offset of that cut is +0.0.
+                "offset": side * e + 0.0,
                 "side": side,
                 "relative_area_removed": rel,
             }

@@ -143,6 +143,12 @@ class TestRobust:
         code, _, err = run("robust", "--builtin", "ellipsoid:1:2:4", "--kind", "in")
         assert code == 3
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_sampled_2d_needs_positive_samples(self, run, samples):
+        code, out, err = run("robust", "--builtin", "square", "--kind", "in", "--samples", samples)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"status": "validation-error", "error": "directions must be positive"}
+
 
 class TestSweep:
     def test_single_sample_two_rows(self, run):

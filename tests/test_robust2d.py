@@ -159,6 +159,16 @@ class TestInternalSampled:
         rep = rho_in_sampled(rect_3x1(), (0, 0))
         assert rep.value == pytest.approx(0.0625, abs=1e-6)
 
+    @pytest.mark.parametrize("directions", [0, -3])
+    def test_directions_must_be_positive(self, directions):
+        with pytest.raises(ValueError, match="^directions must be positive$"):
+            rho_in_sampled(unit_square(), (0.5, 0.5), directions=directions)
+
+    def test_one_direction_is_enough(self):
+        rep = rho_in_sampled(unit_square(), (0.5, 0.5), directions=1)
+        assert rep.details["directions"] == 1
+        assert rep.value == pytest.approx(0.125, abs=1e-6)
+
     def test_matches_exact_on_random_polygons(self, rng):
         for _ in range(10):
             P = random_convex_polygon(rng, int(rng.integers(4, 9)))
