@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateConfiguration, ReferenceOutside
 from .geom2d import ConvexPolygon2, Point2
-from .util import fmt_g17
+from .reports import json_dumps_g17
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,7 @@ class EquilibriumSet2:
         }
 
     def to_json(self) -> str:
-        rows = ", ".join(
-            '{"kind": "%s", "x": %s, "y": %s, "carrier": %d, "degenerate": %s}'
-            % (p.kind, fmt_g17(p.location[0]), fmt_g17(p.location[1]), p.carrier, "true" if p.degenerate else "false")
-            for p in self.points
-        )
-        return '{"S": %d, "U": %d, "points": [%s]}' % (self.S, self.U, rows)
+        return json_dumps_g17(self.as_dict(), indent=None)
 
 
 def stable_points(P: ConvexPolygon2, p: Sequence[float]) -> list[EquilibriumPoint2]:

@@ -5,7 +5,10 @@ stable points (orthogonal foot of p on a face plane landing inside the face),
 saddle points (foot on an edge line landing inside the edge, with the offset
 direction inside the edge's normal wedge) and unstable points (vertices whose
 normal cone contains the direction away from p).  Nondegenerate counts always
-satisfy S - H + U = 2.
+satisfy S - H + U = 2.  The saddle test works in the frames of the edge's two
+slots: the offset to the foot is in the wedge when it has a nonnegative dot
+product with both slots' in-face edge normals, which ``edge_frames`` caches,
+so no per-edge cross product or normal ordering is needed.
 
 Internal robustness measures how far the reference can move before the
 stable count changes; the transition carriers are planar strips ("walls")
@@ -118,25 +121,11 @@ def _face_feet(P: ConvexPolyhedron3, q: np.ndarray) -> tuple[np.ndarray, np.ndar
     return feet, np.maximum.reduceat(sd, starts[:-1])
 
 
-def _stable_candidates(P: ConvexPolyhedron3, q: np.ndarray) -> list:
-    """Per face with foot inside (or within eps of) the face: (face, foot, degenerate)."""
-    eps = P.eps
-    feet, worst = _face_feet(P, q)
-    out = []
-    for k in np.nonzero(worst <= eps)[0]:
-        out.append((int(k), feet[k], bool(worst[k] >= -eps)))
-    return out
-
-
-def _unstable_candidates(P: ConvexPolyhedron3, q: np.ndarray) -> list:
-    """Per vertex that is a local height maximum seen from q: (vertex, degenerate)."""
-    eps = P.eps
+def _vertex_worst(P: ConvexPolyhedron3, q: np.ndarray) -> np.ndarray:
+    """Per vertex, the smallest drop in height seen from q along its edges
+    (positive = strict local maximum, i.e. an unstable point)."""
     rel, base, starts = P.vertex_fan
-    worst = np.minimum.reduceat(rel @ q - base, starts[:-1])
-    out = []
-    for i in np.nonzero(worst >= -eps)[0]:
-        out.append((int(i), bool(worst[i] <= eps)))
-    return out
+    return np.minimum.reduceat(rel @ q - base, starts[:-1])
 
 
 def classify3(P: ConvexPolyhedron3, p: Sequence[float]) -> EquilibriumSet3:
@@ -144,44 +133,42 @@ def classify3(P: ConvexPolyhedron3, p: Sequence[float]) -> EquilibriumSet3:
 
     Boundary cases within the geometric tolerance are kept but flagged
     degenerate rather than silently resolved either way.
+
+    An edge's saddle test reads the in-face edge normals ``nu`` of its two
+    slots from ``edge_frames``: with ``w`` the offset from ``p`` to its foot on
+    the edge line, ``w`` lies in the edge's normal wedge exactly when
+    ``h = min(nu1·w, nu2·w) >= 0``.  The edge is a saddle when
+    ``h >= -eps``, flagged when ``h <= eps`` or the foot is within eps of an
+    end.
     """
     q = _require_interior(P, p)
     eps = P.eps
     v = P.coords
     points: list[EquilibriumPoint3] = []
 
-    for k, foot, flag in _stable_candidates(P, q):
-        points.append(EquilibriumPoint3("stable", tuple(foot), k, flag))
+    feet, worst = _face_feet(P, q)
+    for k in np.nonzero(worst <= eps)[0]:
+        points.append(EquilibriumPoint3("stable", tuple(feet[k]), int(k), bool(worst[k] >= -eps)))
 
-    for (i, j), (f1, f2) in zip(P.edges, P.edge_faces):
+    nu = P.edge_frames[1]
+    for (i, j), (s1, s2) in zip(P.edges, P.edge_slots):
         a, b = v[i], v[j]
         L = float(np.linalg.norm(b - a))
         u = (b - a) / L
         t = float((q - a) @ u)
         if t < -eps or t > L + eps:
             continue
-        near_t = t <= eps or t >= L - eps
         foot = a + t * u
         w = foot - q
-        wn = float(np.linalg.norm(w))
-        if wn <= eps:  # reference on the edge line; cannot happen for interior p
+        h = min(float(nu[s1] @ w), float(nu[s2] @ w))
+        if h < -eps:
             continue
-        n1, n2 = P.plane_normals[f1], P.plane_normals[f2]
-        if float(np.cross(n1, n2) @ u) < 0.0:
-            n1, n2 = n2, n1
-        sin1 = float(np.cross(n1, w) @ u) / wn
-        sin2 = float(np.cross(w, n2) @ u) / wn
-        tau = eps / wn
-        if sin1 < -tau or sin2 < -tau:
-            continue
-        near_w = sin1 <= tau or sin2 <= tau
-        if near_t or near_w:
-            points.append(EquilibriumPoint3("saddle", tuple(foot), (i, j), True))
-        else:
-            points.append(EquilibriumPoint3("saddle", tuple(foot), (i, j), False))
+        flag = h <= eps or t <= eps or t >= L - eps
+        points.append(EquilibriumPoint3("saddle", tuple(foot), (i, j), flag))
 
-    for i, flag in _unstable_candidates(P, q):
-        points.append(EquilibriumPoint3("unstable", tuple(v[i]), i, flag))
+    vworst = _vertex_worst(P, q)
+    for i in np.nonzero(vworst >= -eps)[0]:
+        points.append(EquilibriumPoint3("unstable", tuple(v[i]), int(i), bool(vworst[i] <= eps)))
 
     return EquilibriumSet3(reference=(float(q[0]), float(q[1]), float(q[2])), points=tuple(points))
 
@@ -454,13 +441,12 @@ def _search_counts(piece: ConvexPolyhedron3) -> Optional[tuple[int, int]]:
             return None
     except DegenerateInput:  # no volume, or a face of zero area
         return None
-    stables = _stable_candidates(piece, g)
-    if any(flag for _, _, flag in stables):
+    eps = piece.eps
+    face = _face_feet(piece, g)[1]
+    vertex = _vertex_worst(piece, g)
+    if (np.abs(face) <= eps).any() or (np.abs(vertex) <= eps).any():
         return None
-    unstables = _unstable_candidates(piece, g)
-    if any(flag for _, flag in unstables):
-        return None
-    return len(stables), len(unstables)
+    return int((face < -eps).sum()), int((vertex > eps).sum())
 
 
 def plane_truncation_search(
@@ -488,8 +474,9 @@ def plane_truncation_search(
     support end ``-lo``.  The kept piece grows with ``e``, so the last
     reducing grid cut is the cheapest and its bracket runs toward the support
     end.  Each signed normal keeps a dict from ``e`` to the cut's evaluation,
-    which the grid fills and the bracket ends and both bisections read.  The
-    witness reports ``n``, the unsigned ``offset = side·e`` and the side.
+    which the grid fills and the bracket ends and both bisections read; the
+    support end removes nothing and is never clipped.  The witness reports
+    ``n``, the unsigned ``offset = side·e`` and the side.
     """
     kinds = {"reduce_S": ("partial_s", "S"), "reduce_U": ("partial_u", "U"), "reduce_any": ("partial_any", "SU")}
     if target not in kinds:
@@ -532,11 +519,11 @@ def plane_truncation_search(
                     continue
                 # The kept part grows with e, so the last reducing grid cut is
                 # the cheapest.  Bracket it against the next usable grid cut,
-                # or the support end (nothing removed).
+                # or the support end, which removes nothing and is not clipped.
                 e_a = reducing[-1]
                 rel_a = seen[e_a][0]
                 e_b = next((e for e in grid if e > e_a and seen[e] is not None), end)
-                res_b = evaluate(m, e_b, seen)
+                res_b = seen.get(e_b)
                 rel_b = res_b[0] if res_b is not None else 0.0
                 for _ in range(60):
                     if abs(rel_a - rel_b) <= refine_tol:

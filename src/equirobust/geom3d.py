@@ -8,8 +8,10 @@ are combinatorial rather than artifacts of the triangulation.
 
 Mass properties use the divergence theorem over face fans.  ``clip_halfspace3``
 intersects with a closed half space, inserting the planar cut face in one
-piece.  Generators produce the shapes used elsewhere: regular (platonic)
-solids, prisms, capped cylinders and ellipsoid meshes.
+piece; points closer than the merge tolerance, whether the cut made them or
+the parent already had them, come from one KD-tree query and are merged.
+Generators produce the shapes used elsewhere: regular (platonic) solids,
+prisms, capped cylinders and ellipsoid meshes.
 
 A polyhedron is stored once, as arrays: ``coords`` (V, 3), and the face
 cycles concatenated into ``tails`` (one vertex per (face, edge) incidence, or
@@ -147,11 +149,14 @@ class ConvexPolyhedron3:
         return tuple(map(tuple, self.edge_pairing[0].tolist()))
 
     @cached_property
+    def edge_slots(self) -> np.ndarray:
+        """(E, 2) the two slots of each edge of ``edges``, in slot order."""
+        return np.argsort(self.edge_pairing[1], kind="stable").reshape(-1, 2)
+
+    @cached_property
     def edge_faces(self) -> np.ndarray:
         """(E, 2) faces on each edge of ``edges``, in slot order."""
-        _, slot_edge = self.edge_pairing
-        _, _, slot_face, _ = self.slot_arrays
-        return slot_face[np.argsort(slot_edge, kind="stable")].reshape(-1, 2)
+        return self.slot_arrays[2][self.edge_slots]
 
     @cached_property
     def vertex_fan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -451,7 +456,9 @@ def clip_halfspace3(
 
     Returns ``P`` itself when the plane misses it, ``None`` when nothing (or
     only a sliver below tolerance) remains.  The cut cross-section is inserted
-    as a single planar face.
+    as a single planar face.  One ``cKDTree.query_pairs`` over the points the
+    piece uses finds every pair within the merge tolerance; each cluster of
+    such points becomes its lowest-numbered point.
     """
     n = np.asarray(normal, dtype=float)
     norm = float(np.linalg.norm(n))
@@ -517,15 +524,12 @@ def clip_halfspace3(
     sizes = np.concatenate(sizes)
 
     # Merge points that collapse together (cuts passing close to vertices).
+    from scipy.spatial import cKDTree
+
     used = np.bincount(flat).nonzero()[0]
-    upts = all_pts[used]
-    diff = upts[:, None, :] - upts[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    merge_tol = max(eps, 1e-13 * P.scale)
-    ii, jj = np.nonzero(d2 <= merge_tol * merge_tol)
-    pair = ii < jj
-    if pair.any():
-        flat, sizes = _merge_points(flat, sizes, used[ii[pair]], used[jj[pair]], len(all_pts))
+    close = cKDTree(all_pts[used]).query_pairs(max(eps, 1e-13 * P.scale), output_type="ndarray")
+    if len(close):
+        flat, sizes = _merge_points(flat, sizes, used[close[:, 0]], used[close[:, 1]], len(all_pts))
     if len(sizes) < 4:
         return None
 

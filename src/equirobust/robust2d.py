@@ -600,12 +600,6 @@ class SweepSummary:
             frac = np.where(self.totals > 0, self.counts.get(category, np.zeros_like(self.totals)) / np.maximum(self.totals, 1), 0.0)
         return frac
 
-    @property
-    def categories(self) -> list:
-        return sorted((c for c in self.counts if c != "degenerate"), key=int) + (
-            ["degenerate"] if "degenerate" in self.counts else []
-        )
-
 
 def _draw_sweep_lines(P: ConvexPolygon2, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Pre-draw (theta, offset) pairs from the motion-invariant line measure.

@@ -165,6 +165,85 @@ class TestClassify:
         assert (eq2.S, eq2.H, eq2.U) == (eq.S, eq.H, eq.U)
 
 
+def _classify3_reference(P, p):
+    """``classify3`` with the saddle test it had before reading the slots'
+    in-face edge normals: the two face normals ordered around the edge by a
+    cross product, then one cross product per wedge side."""
+    eq = classify3(P, p)
+    q = np.asarray(p, dtype=float)
+    eps = P.eps
+    v = P.coords
+    saddles = []
+    for (i, j), (f1, f2) in zip(P.edges, P.edge_faces):
+        a, b = v[i], v[j]
+        L = float(np.linalg.norm(b - a))
+        u = (b - a) / L
+        t = float((q - a) @ u)
+        if t < -eps or t > L + eps:
+            continue
+        near_t = t <= eps or t >= L - eps
+        foot = a + t * u
+        w = foot - q
+        wn = float(np.linalg.norm(w))
+        if wn <= eps:
+            continue
+        n1, n2 = P.plane_normals[f1], P.plane_normals[f2]
+        if float(np.cross(n1, n2) @ u) < 0.0:
+            n1, n2 = n2, n1
+        sin1 = float(np.cross(n1, w) @ u) / wn
+        sin2 = float(np.cross(w, n2) @ u) / wn
+        tau = eps / wn
+        if sin1 < -tau or sin2 < -tau:
+            continue
+        near_w = sin1 <= tau or sin2 <= tau
+        saddles.append(EquilibriumPoint3("saddle", tuple(foot), (i, j), near_t or near_w))
+    stable = [e for e in eq.points if e.kind == "stable"]
+    unstable = [e for e in eq.points if e.kind == "unstable"]
+    return EquilibriumSet3(eq.reference, tuple(stable + saddles + unstable))
+
+
+def _saddle_bodies():
+    rng = np.random.default_rng(31)
+    bodies = [platonic(name) for name in ("tetra", "cube", "octa", "dodeca", "icosa")]
+    bodies += [generator_prism(k, 1.0) for k in (3, 6)]
+    bodies.append(generator_truncated_cylinder(1, 3))
+    bodies += [random_hull3(rng, n) for n in (10, 25, 60)]
+    return bodies
+
+
+class TestSaddleReference:
+    # Offsets, in eps, of the reference from one side of an edge's normal
+    # wedge.  At exactly +-1 eps the two tests round differently on either
+    # side of the tolerance, so those offsets are left out.
+    OFFSETS = (0.0, 0.5, -0.5, 1.5, -1.5, 3.0, -3.0)
+
+    def test_matches_cross_product_reference(self):
+        rng = np.random.default_rng(37)
+        near = flagged = 0
+        for P in _saddle_bodies():
+            points = [centroid3(P)] + [random_interior_point3(rng, P) for _ in range(4)]
+            nu = P.edge_frames[1]
+            slot_face = P.slot_arrays[2]
+            for e in rng.choice(len(P.edges), size=min(4, len(P.edges)), replace=False):
+                i, j = P.edges[e]
+                mid = (P.coords[i] + P.coords[j]) / 2.0
+                for s in P.edge_slots[e]:
+                    # Inward from the edge along the face normal is the wedge
+                    # side w·nu = 0; the offset moves across it along nu.
+                    n = P.plane_normals[slot_face[s]]
+                    for k in self.OFFSETS:
+                        q = mid - 0.1 * P.scale * n - k * P.eps * nu[s]
+                        if P.interior_margin(q) > P.eps:
+                            points.append(q)
+                            near += 1
+            for q in points:
+                eq = classify3(P, q)
+                assert eq.to_json() == _classify3_reference(P, q).to_json()
+                flagged += any(e.degenerate for e in eq.points if e.kind == "saddle")
+        assert near >= 300
+        assert flagged >= 100
+
+
 class TestStableCount:
     def test_center_counts_all_faces(self):
         c = platonic("cube")

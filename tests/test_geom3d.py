@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,32 @@ class TestClip:
         assert piece is not None
         assert piece.structural_ok()
         assert volume(piece) == pytest.approx(0.5, abs=1e-12)
+
+    def test_close_pair_far_from_the_cut_is_merged(self):
+        # A vertex 0.5 eps from the corner (0, 0, 0) on the x edge of the unit
+        # cube.  The cut is far from that corner, yet the piece merges the
+        # pair and equals the same cut of the plain cube.
+        cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+        faces = [(0, 1, 3, 2), (4, 6, 7, 5), (0, 4, 5, 1), (2, 3, 7, 6), (0, 2, 6, 4), (1, 5, 7, 3)]
+        plain = polyhedron_new(cube, faces)
+        extra = (0.5 * plain.eps, 0.0, 0.0)
+        faces_x = [(0, 1, 3, 2), (4, 6, 7, 5), (0, 8, 4, 5, 1), (2, 3, 7, 6), (0, 2, 6, 4, 8), (1, 5, 7, 3)]
+        body = polyhedron_new(cube + [extra], faces_x)
+        assert len(body.vertices) == 9
+        piece = clip_halfspace3(body, (1, 1, 1), 2.5)
+        assert off_dumps(piece) == off_dumps(clip_halfspace3(plain, (1, 1, 1), 2.5))
+
+    def test_large_clip_allocates_little(self):
+        P = generator_ellipsoid_mesh(1, 2, 3, facets=3000)
+        assert len(P.vertices) == 1502
+        tracemalloc.start()
+        try:
+            piece = clip_halfspace3(P, (0, 0, 1), 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert piece is not None
+        assert peak < 5e6
 
 
 def _topology_oracle(P):

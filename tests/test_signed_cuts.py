@@ -271,6 +271,25 @@ class TestPlaneSearch:
             assert len(cuts) > 2 * grid[0] * grid[1]
             assert len(set(cuts)) == len(cuts)
 
+    def test_support_end_is_never_clipped(self, monkeypatch):
+        # A bracket with no usable grid cut above its last reducing one runs to
+        # the family's support end, where the cut removes nothing.
+        at_end = []
+
+        def recording(P, normal, offset):
+            at_end.append(offset == float(np.max(P.coords @ np.asarray(normal))))
+            return clip_halfspace3(P, normal, offset)
+
+        monkeypatch.setattr(equilib3d, "clip_halfspace3", recording)
+        for body, grid, seed in (
+            (platonic("cube"), (4, 4), 1),
+            (platonic("icosa"), (6, 3), 4),
+            (generator_prism(5, 1.0), (6, 5), 0),
+        ):
+            at_end.clear()
+            assert plane_truncation_search(body, "reduce_any", grid, 1e-7, seed).status == "ok"
+            assert at_end and not any(at_end)
+
 
 class TestRhoExExact:
     def test_random_polygons_match_reference(self):
