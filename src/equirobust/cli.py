@@ -267,8 +267,8 @@ def _cmd_sweep(args) -> int:
     dim, shape = _load_shape(args)
     if dim != "2d":
         raise CLIError("sweep needs a polygon shape")
-    rows, summary = truncation_sweep(shape, args.samples, args.seed, bins=args.bins)
-    samples_text = sweep_csv(rows)
+    sweep, summary = truncation_sweep(shape, args.samples, args.seed, bins=args.bins)
+    samples_text = sweep_csv(sweep)
     fmt = args.format or "csv"
     if fmt == "csv" and not args.out:
         # The per-sample rows fit any polygon; the summary schema holds only
@@ -281,13 +281,13 @@ def _cmd_sweep(args) -> int:
         for suffix, text in ((".samples.csv", samples_text), (".summary.csv", summary_text), (".svg", svg_text)):
             with open(args.out + suffix, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        _emit(json_dumps_g17({"status": "ok", "samples": len(rows),
+        _emit(json_dumps_g17({"status": "ok", "samples": len(sweep),
                               "files": [args.out + s for s in (".samples.csv", ".summary.csv", ".svg")]}), None)
         return 0
     if fmt == "svg":
         _emit(svg_text, None)
     else:
-        _emit(json_dumps_g17({"status": "ok", "samples": len(rows), "summary_csv": summary_text}), None)
+        _emit(json_dumps_g17({"status": "ok", "samples": len(sweep), "summary_csv": summary_text}), None)
     return 0
 
 

@@ -124,8 +124,10 @@ def _face_feet(P: ConvexPolyhedron3, q: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _vertex_worst(P: ConvexPolyhedron3, q: np.ndarray) -> np.ndarray:
     """Per vertex, the smallest drop in height seen from q along its edges
     (positive = strict local maximum, i.e. an unstable point)."""
-    rel, base, starts = P.vertex_fan
-    return np.minimum.reduceat(rel @ q - base, starts[:-1])
+    a, _, u, _ = P.edge_frames
+    worst = np.full(len(P.coords), np.inf)
+    np.minimum.at(worst, P.tails, u @ q - np.einsum("ij,ij->i", u, a))
+    return worst
 
 
 def classify3(P: ConvexPolyhedron3, p: Sequence[float]) -> EquilibriumSet3:

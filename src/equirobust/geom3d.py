@@ -159,23 +159,6 @@ class ConvexPolyhedron3:
         return self.slot_arrays[2][self.edge_slots]
 
     @cached_property
-    def vertex_fan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat neighbor structure: (unit edge dirs, base dots, per-vertex starts).
-
-        The neighbors of a vertex are the heads of its slots, in ascending order.
-        """
-        tails, heads, _, _ = self.slot_arrays
-        order = np.lexsort((heads, tails))
-        owner, flat = tails[order], heads[order]
-        v = self.coords
-        rel = v[flat] - v[owner]
-        rel /= np.linalg.norm(rel, axis=1)[:, None]
-        base = np.einsum("ij,ij->i", rel, v[owner])
-        counts = np.bincount(tails, minlength=len(self.coords))
-        starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-        return rel, base, starts
-
-    @cached_property
     def fan_triangles(self) -> np.ndarray:
         """(T, 3) fan triangles (face[0], face[i], face[i + 1]) from each face's inner slots."""
         tails, heads, slot_face, starts = self.slot_arrays

@@ -23,7 +23,10 @@ in this module, the sector clips of ``rho_ex_exact`` included, is written so.
 The sweep and the line search evaluate their cuts with one batched
 evaluator, ``_CutEvaluator``, which gives the scalar clip-and-classify
 path's results bit for bit and hands it the few cuts it cannot certify.
-The average-robustness estimator cuts one piece at a time on the scalar path.
+Its results stay arrays (stable count -1 for an unusable piece), and a sweep
+is returned as the columns of a ``TruncationSweep``, with ``piece_S = -1``
+for a degenerate piece.  The average-robustness estimator cuts one piece at
+a time on the scalar path.
 """
 
 from __future__ import annotations
@@ -276,10 +279,11 @@ class _CutEvaluator:
     """Kept area fraction and piece stable count for batches of cuts of one polygon.
 
     A call takes m cuts ``n·z <= d`` and returns, row for row and bit for bit,
-    what :func:`clip_halfplane_nd` followed by :func:`_piece_stable` gives: the
-    kept fraction of the area (1.0 when the cut misses, 0.0 when the piece
-    collapses) and the stable count at the piece's centroid (``None`` when
-    unusable).  Rows are evaluated in padded arrays of ``n + 3`` ring slots.
+    what :func:`clip_halfplane_nd` followed by :func:`_piece_stable` gives, as
+    two arrays: the kept fraction of the area (1.0 when the cut misses, 0.0
+    when the piece collapses) and the stable count at the piece's centroid
+    (-1 where ``_piece_stable`` gives ``None``).  Rows are evaluated in padded
+    arrays of ``n + 3`` ring slots.
     The kept vertices of a convex polygon form one cyclic run, so a piece's
     ring is that run plus at most two crossing points, laid out from the
     polygon's canonical start; area and centroid are then sequential sums in
@@ -321,7 +325,7 @@ class _CutEvaluator:
             table[:, l] = np.maximum(np.maximum(table[:, l - 1], table[(a + 1) % n, l - 1]), dist[a, (a + l - 1) % n])
         return table
 
-    def __call__(self, nx, ny, d) -> tuple[list[float], list[Optional[int]]]:
+    def __call__(self, nx, ny, d) -> tuple[np.ndarray, np.ndarray]:
         nx, ny, d = (np.asarray(v, dtype=float).reshape(-1) for v in (nx, ny, d))
         m = len(d)
         kept = np.ones(m)
@@ -333,13 +337,12 @@ class _CutEvaluator:
                 for lo in range(0, m, rows):
                     part = slice(lo, lo + rows)
                     scalar[part] = self._certified(nx[part], ny[part], d[part], kept[part], count[part])
-        kept_out = kept.tolist()
-        count_out: list[Optional[int]] = [None if c < 0 else c for c in count.tolist()]
         for i in np.flatnonzero(scalar).tolist():
             piece = clip_halfplane_nd(self.P, nx[i], ny[i], d[i])
-            kept_out[i] = 0.0 if piece is None else 1.0 if piece is self.P else piece.area / self.total
-            count_out[i] = _piece_stable(self.P, piece)
-        return kept_out, count_out
+            kept[i] = 0.0 if piece is None else 1.0 if piece is self.P else piece.area / self.total
+            s = _piece_stable(self.P, piece)
+            count[i] = -1 if s is None else s
+        return kept, count
 
     def _certified(self, nx, ny, d, kept, count) -> np.ndarray:
         """Fill ``kept`` and ``count`` (-1 for ``None``) of the rows the batched
@@ -528,14 +531,14 @@ def full_robustness_line_bound(
         steps += [step, step]
     M, E = np.array(normals), np.array(grids)
     kept, counts = evaluate(M[:, 0].repeat(grid_offset), M[:, 1].repeat(grid_offset), E)
-    reducing = np.array([s is not None and s < S0 for s in counts], dtype=bool).reshape(E.shape)
+    reducing = ((counts >= 0) & (counts < S0)).reshape(E.shape)
 
     # One bracket per family with a reducing grid cut, in family order, from
     # its last reducing grid cut along e, the cheapest.
     fam = np.flatnonzero(reducing.any(1))
     i = grid_offset - 1 - np.argmax(reducing[fam, ::-1], 1)
     e_red = E[fam, i]
-    rel_red = 1.0 - np.array(kept).reshape(E.shape)[fam, i]
+    rel_red = 1.0 - kept.reshape(E.shape)[fam, i]
     e_ok = np.minimum(e_red + np.array(steps)[fam], np.array(ends)[fam])
     live = np.full(len(fam), refine_tol is not None)
     while live.any():
@@ -543,9 +546,9 @@ def full_robustness_line_bound(
         live &= (np.abs(e_ok - e_red) > refine_tol) & (mid != e_red) & (mid != e_ok)
         idx = np.flatnonzero(live)
         kept, counts = evaluate(M[fam[idx], 0], M[fam[idx], 1], mid[idx])
-        reduces = np.array([s is not None and s < S0 for s in counts], dtype=bool)
+        reduces = (counts >= 0) & (counts < S0)
         e_red[idx[reduces]] = mid[idx[reduces]]
-        rel_red[idx[reduces]] = 1.0 - np.array(kept)[reduces]
+        rel_red[idx[reduces]] = 1.0 - kept[reduces]
         e_ok[idx[~reduces]] = mid[idx[~reduces]]
 
     best_val = math.inf
@@ -579,14 +582,27 @@ def full_robustness_line_bound(
 
 
 @dataclass(frozen=True)
-class TruncationSample:
-    theta: float
-    offset: float
-    side: int  # +1 keeps n.z <= d, -1 the other side
-    relative_area: float
-    piece_S: Optional[int]
-    delta_S: Optional[int]
-    degenerate: bool
+class TruncationSweep:
+    """A truncation sweep as columns, one row per recorded piece.
+
+    Line i gives rows 2i (side +1, keeping ``n·z <= d``) and 2i + 1 (side -1).
+    ``piece_S`` is the piece's stable count at its own centroid, -1 for a
+    degenerate piece; delta S is ``piece_S - S0`` on the other rows.
+    """
+
+    S0: int
+    theta: np.ndarray
+    offset: np.ndarray
+    side: np.ndarray
+    relative_area: np.ndarray
+    piece_S: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.piece_S)
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        return self.piece_S < 0
 
 
 @dataclass
@@ -620,7 +636,7 @@ def _draw_sweep_lines(P: ConvexPolygon2, samples: int, seed: int) -> tuple[np.nd
     return thetas, offsets
 
 
-def truncation_sweep(P: ConvexPolygon2, samples: int, seed: int, bins: int = 20) -> tuple[list[TruncationSample], SweepSummary]:
+def truncation_sweep(P: ConvexPolygon2, samples: int, seed: int, bins: int = 20) -> tuple[TruncationSweep, SweepSummary]:
     """Monte Carlo truncation sweep recording both pieces of each random line.
 
     Lines are sampled from the kinematic measure restricted to lines meeting
@@ -632,39 +648,33 @@ def truncation_sweep(P: ConvexPolygon2, samples: int, seed: int, bins: int = 20)
     if samples < 1:
         raise ValueError("samples must be positive")
     eq0 = equilibria(P, P.centroid)
-    S0 = eq0.S
     thetas, offsets = _draw_sweep_lines(P, samples, seed)
     # math.cos and math.sin, as the scalar path: numpy's may differ in the last bit.
     nx = np.array([math.cos(t) for t in thetas.tolist()])
     ny = np.array([math.sin(t) for t in thetas.tolist()])
-    # Rows alternate sides: line i gives rows 2i (side +1) and 2i + 1 (side -1).
     kept, counts = _CutEvaluator(P)(
         np.column_stack([nx, -nx]), np.column_stack([ny, -ny]), np.column_stack([offsets, -offsets])
     )
-    rows: list[TruncationSample] = []
-    for i, (theta, d) in enumerate(zip(thetas.tolist(), offsets.tolist())):
-        for side, k in ((+1, 2 * i), (-1, 2 * i + 1)):
-            s = counts[k]
-            delta = None if s is None else s - S0
-            rows.append(TruncationSample(theta, d, side, kept[k], s, delta, s is None))
-    return rows, summarize_sweep(rows, bins)
+    sweep = TruncationSweep(eq0.S, thetas.repeat(2), offsets.repeat(2), np.tile([1, -1], samples), kept, counts)
+    return sweep, summarize_sweep(sweep, bins)
 
 
-def summarize_sweep(rows: Sequence[TruncationSample], bins: int = 20) -> SweepSummary:
-    """Bin sweep samples by relative area and count per-bin outcome categories."""
+def summarize_sweep(sweep: TruncationSweep, bins: int = 20) -> SweepSummary:
+    """Bin sweep samples by relative area and count per-bin outcome categories.
+
+    The delta-S categories appear in the order the rows first show them, then
+    ``"degenerate"`` when any row is degenerate.
+    """
     if bins < 1:
         raise ValueError("bins must be positive")
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    totals = np.zeros(bins, dtype=int)
-    counts: dict = {}
-    for row in rows:
-        b = min(int(row.relative_area * bins), bins - 1)
-        totals[b] += 1
-        key = "degenerate" if row.degenerate else int(row.delta_S)
-        if key not in counts:
-            counts[key] = np.zeros(bins, dtype=int)
-        counts[key][b] += 1
-    return SweepSummary(bin_edges=edges, counts=counts, totals=totals)
+    b = np.minimum((sweep.relative_area * bins).astype(int), bins - 1)
+    bad = sweep.degenerate
+    delta, b_ok = sweep.piece_S[~bad] - sweep.S0, b[~bad]
+    keys, first = np.unique(delta, return_index=True)
+    counts: dict = {int(k): np.bincount(b_ok[delta == k], minlength=bins) for k in keys[np.argsort(first)]}
+    if bad.any():
+        counts["degenerate"] = np.bincount(b[bad], minlength=bins)
+    return SweepSummary(bin_edges=np.linspace(0.0, 1.0, bins + 1), counts=counts, totals=np.bincount(b, minlength=bins))
 
 
 def average_robustness(P: ConvexPolygon2, n: int, samples: int, seed: int) -> float:
@@ -716,24 +726,19 @@ SUMMARY_CSV_HEADER = "bin_lo,bin_hi,frac_dS_-2,frac_dS_-1,frac_dS_0,frac_dS_+1,f
 _SUMMARY_CATEGORIES = (-2, -1, 0, 1)
 
 
-def sweep_csv(rows: Sequence[TruncationSample]) -> str:
+def sweep_csv(sweep: TruncationSweep) -> str:
     """Sample CSV, one line per recorded piece, floats at 17 significant digits."""
-    out = [SWEEP_CSV_HEADER]
-    for r in rows:
-        out.append(
-            ",".join(
-                [
-                    fmt_g17(r.theta),
-                    fmt_g17(r.offset),
-                    str(r.side),
-                    fmt_g17(r.relative_area),
-                    "" if r.piece_S is None else str(r.piece_S),
-                    "" if r.delta_S is None else str(r.delta_S),
-                    "1" if r.degenerate else "0",
-                ]
-            )
-        )
-    return "\n".join(out) + "\n"
+    S0, piece_S = sweep.S0, sweep.piece_S.tolist()
+    # The piece_S, delta_S and degenerate fields, once per distinct count.
+    fields = {s: ",,1" if s < 0 else f"{s},{s - S0},0" for s in set(piece_S)}
+    columns = (
+        map(fmt_g17, sweep.theta.tolist()),
+        map(fmt_g17, sweep.offset.tolist()),
+        map(str, sweep.side.tolist()),
+        map(fmt_g17, sweep.relative_area.tolist()),
+        map(fields.__getitem__, piece_S),
+    )
+    return "\n".join([SWEEP_CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
 
 
 def summary_csv(summary: SweepSummary) -> str:

@@ -301,9 +301,9 @@ def test_08_bounding_box_lemmas():
 
 def test_09_square_sweep_figure():
     sq = _unit_square()
-    rows, summary = truncation_sweep(sq, 100_000, seed=7)
-    n = len(rows)
-    degen = sum(1 for r in rows if r.degenerate)
+    sweep, summary = truncation_sweep(sq, 100_000, seed=7)
+    n = len(sweep)
+    degen = int(sweep.degenerate.sum())
     cats_ok = set(c for c in summary.counts if c != "degenerate") <= {-1, 0, 1}
     bins_ok = all(
         sum(int(summary.counts[c][b]) for c in summary.counts) == int(summary.totals[b])
@@ -311,14 +311,15 @@ def test_09_square_sweep_figure():
     )
     triangles = 0
     triangle_bad = 0
-    for r in rows:
-        if r.degenerate:
+    columns = (sweep.theta, sweep.offset, sweep.side, sweep.piece_S)
+    for theta, offset, side, piece_S in zip(*(c.tolist() for c in columns)):
+        if piece_S < 0:
             continue
-        nx, ny = math.cos(r.theta), math.sin(r.theta)
-        piece = clip_halfplane_nd(sq, r.side * nx, r.side * ny, r.side * r.offset)
+        nx, ny = math.cos(theta), math.sin(theta)
+        piece = clip_halfplane_nd(sq, side * nx, side * ny, side * offset)
         if piece is not None and piece is not sq and piece.n == 3:
             triangles += 1
-            if r.piece_S != 3:
+            if piece_S != 3:
                 triangle_bad += 1
     golden = (GOLDEN_DIR / "golden_square_sweep_summary.csv").read_text()
     csv_now = summary_csv(summary)

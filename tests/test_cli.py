@@ -182,20 +182,24 @@ class TestSweep:
         assert json.loads(out)["status"] == "ok"
 
     def test_csv_rows_beyond_summary_schema(self):
-        # A 9-gon's pieces lose more stable points than the summary schema
-        # (delta_S -2..+1) holds; csv prints only the per-sample rows, the
-        # summary formats still refuse.
-        argv = [sys.executable, "-m", "equirobust.cli", "sweep", "--builtin", "ngon:9",
-                "--samples", "300", "--seed", "4", "--format"]
-        r = subprocess.run(argv + ["csv"], capture_output=True, text=True)
-        assert r.returncode == 0, r.stderr
-        lines = r.stdout.strip().splitlines()
-        assert lines[0] == "theta,offset,side,relative_area,piece_S,delta_S,degenerate"
-        assert len(lines) == 601
-        assert min(int(line.split(",")[5]) for line in lines[1:]) < -2
-        r = subprocess.run(argv + ["svg"], capture_output=True, text=True)
-        assert r.returncode == 3
-        assert "does not fit the summary schema" in r.stderr
+        # 9-gon and 6-gon pieces lose more stable points than the summary
+        # schema (delta_S -2..+1) holds; csv prints only the per-sample rows,
+        # the summary formats still refuse, naming the first such delta_S.
+        for shape, delta in (("ngon:9", -5), ("ngon:6", -4)):
+            argv = [sys.executable, "-m", "equirobust.cli", "sweep", "--builtin", shape,
+                    "--samples", "300", "--seed", "4", "--format"]
+            r = subprocess.run(argv + ["csv"], capture_output=True, text=True)
+            assert r.returncode == 0, r.stderr
+            lines = r.stdout.strip().splitlines()
+            assert lines[0] == "theta,offset,side,relative_area,piece_S,delta_S,degenerate"
+            assert len(lines) == 601
+            assert min(int(line.split(",")[5]) for line in lines[1:]) < -2
+            r = subprocess.run(argv + ["svg"], capture_output=True, text=True)
+            assert r.returncode == 3
+            assert r.stdout == ""
+            assert r.stderr == (
+                f'{{"status": "validation-error", "error": "delta_S={delta} does not fit the summary schema"}}\n'
+            )
 
     def test_sweep_needs_polygon(self, run):
         code, _, err = run("sweep", "--builtin", "cube", "--samples", "5", "--seed", "1")

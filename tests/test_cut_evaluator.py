@@ -20,7 +20,7 @@ from equirobust.errors import DegenerateConfiguration, DegenerateInput
 from equirobust.geom2d import ConvexPolygon2, clip_halfplane_nd, regular_ngon
 from equirobust.reports import RobustnessReport
 from equirobust.robust2d import (
-    TruncationSample,
+    TruncationSweep,
     _CutEvaluator,
     _draw_sweep_lines,
     _piece_stable,
@@ -41,9 +41,13 @@ def _evaluate_cut(P, total, nx, ny, d):
     return kept, _piece_stable(P, piece)
 
 
+def _as_scalar_path(kept, counts):
+    """The evaluator's rows as the scalar path gives them: -1 becomes ``None``."""
+    return [(k, None if c < 0 else c) for k, c in zip(kept.tolist(), counts.tolist())]
+
+
 def _truncation_sweep_reference(P, samples, seed, bins=20):
     eq0 = equilibria(P, P.centroid)
-    S0 = eq0.S
     total = P.area
     thetas, offsets = _draw_sweep_lines(P, samples, seed)
     rows = []
@@ -51,9 +55,10 @@ def _truncation_sweep_reference(P, samples, seed, bins=20):
         nx, ny = math.cos(theta), math.sin(theta)
         for side in (+1, -1):
             rel, s = _evaluate_cut(P, total, side * nx, side * ny, side * d)
-            delta = None if s is None else s - S0
-            rows.append(TruncationSample(float(theta), float(d), side, rel, s, delta, s is None))
-    return rows, summarize_sweep(rows, bins)
+            rows.append((float(theta), float(d), side, rel, -1 if s is None else s))
+    theta, offset, side, rel, piece_S = (np.array(c) for c in zip(*rows))
+    sweep = TruncationSweep(eq0.S, theta, offset, side, rel, piece_S)
+    return sweep, summarize_sweep(sweep, bins)
 
 
 def _line_bound_reference(P, grid_theta, grid_offset, refine_tol: Optional[float]):
@@ -157,10 +162,11 @@ class TestAgainstScalarPath:
                         nys.append(side * ny)
                         ds.append(side * d)
             kept, counts = _CutEvaluator(P)(nxs, nys, ds)
+            assert kept.dtype == np.float64 and counts.dtype.kind == "i"
+            got = _as_scalar_path(kept, counts)
             for i in range(len(ds)):
                 want = _evaluate_cut(P, P.area, nxs[i], nys[i], ds[i])
-                assert (kept[i], counts[i]) == want, (P.n, nxs[i], nys[i], ds[i])
-                assert type(kept[i]) is float
+                assert got[i] == want, (P.n, nxs[i], nys[i], ds[i])
             cuts += len(ds)
         assert cuts == 10100
         # Cuts within a few eps of a vertex are what the scalar path is for.
@@ -202,9 +208,9 @@ class TestAgainstScalarPath:
         ts = np.geomspace(1e-7, 1e-2, 60)
         ds = [-(top - t) for t in ts] + [top - t for t in ts]
         sides = [-1] * 60 + [1] * 60
-        kept, counts = _CutEvaluator(P)([s * nx for s in sides], [s * ny for s in sides], ds)
+        got = _as_scalar_path(*_CutEvaluator(P)([s * nx for s in sides], [s * ny for s in sides], ds))
         for i, (side, d) in enumerate(zip(sides, ds)):
-            assert (kept[i], counts[i]) == _evaluate_cut(P, P.area, side * nx, side * ny, d)
+            assert got[i] == _evaluate_cut(P, P.area, side * nx, side * ny, d)
         assert count_scalar[0] > 0
 
     def test_non_finite_cuts_end_as_in_scalar_path(self):
@@ -218,7 +224,7 @@ class TestAgainstScalarPath:
 
         sq = unit_square()
         for d in (math.nan, math.inf, -math.inf):
-            got = outcome(lambda: tuple(x[0] for x in _CutEvaluator(sq)([0.0], [1.0], [d])))
+            got = outcome(lambda: _as_scalar_path(*_CutEvaluator(sq)([0.0], [1.0], [d]))[0])
             assert got == outcome(_evaluate_cut, sq, sq.area, 0.0, 1.0, d)
         big = ConvexPolygon2([(0, 0), (2, 0), (2, 2), (0, 2)])
         got = outcome(_CutEvaluator(big), [0.6, 1e308], [0.8, 0.0], [1.0, 1.0])
@@ -232,9 +238,9 @@ class TestAgainstScalarPath:
             lo, hi = P.support_interval(0.6, 0.8)
             ds = list(np.linspace(lo, hi, 5))
             before = count_scalar[0]
-            kept, counts = _CutEvaluator(P)([0.6] * 5, [0.8] * 5, ds)
+            got = _as_scalar_path(*_CutEvaluator(P)([0.6] * 5, [0.8] * 5, ds))
             assert count_scalar[0] - before == 5
-            assert [(k, c) for k, c in zip(kept, counts)] == [_evaluate_cut(P, P.area, 0.6, 0.8, d) for d in ds]
+            assert got == [_evaluate_cut(P, P.area, 0.6, 0.8, d) for d in ds]
 
     def test_random_sweep_rows_rarely_take_scalar_path(self, rng, count_scalar):
         rows = 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,7 +9,7 @@ from equirobust import robust2d
 from equirobust.errors import DegenerateConfiguration, TooFewStable
 from equirobust.geom2d import clip_halfplane_nd, polygon_new, regular_ngon, strip_cover_admits
 from equirobust.robust2d import (
-    TruncationSample,
+    TruncationSweep,
     _piece_stable,
     average_robustness,
     dowker_area,
@@ -329,21 +330,23 @@ class TestFullLineBound:
 
 class TestSweep:
     def test_row_bookkeeping(self):
-        rows, summary = truncation_sweep(unit_square(), 500, seed=42)
-        assert len(rows) == 1000
-        for i in range(500):
-            a, b = rows[2 * i], rows[2 * i + 1]
-            assert a.theta == b.theta and a.offset == b.offset
-            assert a.side == +1 and b.side == -1
-            if not (a.degenerate or b.degenerate):
-                assert a.relative_area + b.relative_area == pytest.approx(1.0, abs=1e-9)
+        sweep, summary = truncation_sweep(unit_square(), 500, seed=42)
+        assert len(sweep) == 1000
+        for column in (sweep.theta, sweep.offset, sweep.side, sweep.relative_area, sweep.piece_S):
+            assert column.shape == (1000,)
+        assert np.array_equal(sweep.theta[0::2], sweep.theta[1::2])
+        assert np.array_equal(sweep.offset[0::2], sweep.offset[1::2])
+        assert (sweep.side[0::2] == +1).all() and (sweep.side[1::2] == -1).all()
+        both = ~(sweep.degenerate[0::2] | sweep.degenerate[1::2])
+        area_sums = (sweep.relative_area[0::2] + sweep.relative_area[1::2])[both]
+        assert area_sums == pytest.approx(np.ones(len(area_sums)), abs=1e-9)
 
     def test_square_outcomes(self):
-        rows, _ = truncation_sweep(unit_square(), 2000, seed=42)
-        cats = {r.delta_S for r in rows if not r.degenerate}
+        sweep, _ = truncation_sweep(unit_square(), 2000, seed=42)
+        assert np.array_equal(sweep.degenerate, sweep.piece_S == -1)
+        cats = set((sweep.piece_S - sweep.S0)[~sweep.degenerate].tolist())
         assert cats <= {-1, 0, 1}
-        degenerate = sum(r.degenerate for r in rows)
-        assert degenerate / len(rows) < 0.01
+        assert sweep.degenerate.sum() / len(sweep) < 0.01
 
     def test_small_pieces_lose_large_pieces_keep(self):
         _, summary = truncation_sweep(unit_square(), 4000, seed=42)
@@ -352,23 +355,24 @@ class TestSweep:
         assert f0[0] < 0.1
 
     def test_determinism(self):
-        rows_a, summ_a = truncation_sweep(unit_square(), 300, seed=7)
-        rows_b, summ_b = truncation_sweep(unit_square(), 300, seed=7)
-        assert sweep_csv(rows_a) == sweep_csv(rows_b)
+        sweep_a, summ_a = truncation_sweep(unit_square(), 300, seed=7)
+        sweep_b, summ_b = truncation_sweep(unit_square(), 300, seed=7)
+        assert sweep_csv(sweep_a) == sweep_csv(sweep_b)
         assert summary_csv(summ_a) == summary_csv(summ_b)
-        rows_c, _ = truncation_sweep(unit_square(), 300, seed=8)
-        assert sweep_csv(rows_c) != sweep_csv(rows_a)
+        sweep_c, _ = truncation_sweep(unit_square(), 300, seed=8)
+        assert sweep_csv(sweep_c) != sweep_csv(sweep_a)
 
     def test_csv_headers(self):
-        rows, summary = truncation_sweep(unit_square(), 50, seed=1)
-        assert sweep_csv(rows).splitlines()[0] == "theta,offset,side,relative_area,piece_S,delta_S,degenerate"
+        sweep, summary = truncation_sweep(unit_square(), 50, seed=1)
+        assert sweep_csv(sweep).splitlines()[0] == "theta,offset,side,relative_area,piece_S,delta_S,degenerate"
         lines = summary_csv(summary).splitlines()
         assert lines[0] == "bin_lo,bin_hi,frac_dS_-2,frac_dS_-1,frac_dS_0,frac_dS_+1,frac_degenerate"
         assert len(lines) == 21
 
     def test_summary_rejects_out_of_schema_delta(self):
-        rows = [TruncationSample(0.1, 0.2, 1, 0.3, 1, -3, False)]
-        summary = summarize_sweep(rows, bins=5)
+        one = TruncationSweep(4, np.array([0.1]), np.array([0.2]), np.array([1]), np.array([0.3]), np.array([1]))
+        summary = summarize_sweep(one, bins=5)
+        assert list(summary.counts) == [-3]
         with pytest.raises(ValueError):
             summary_csv(summary)
 
@@ -389,6 +393,19 @@ class TestSweep:
         assert len(polys) >= 2
         assert 'width="800"' in svg and 'height="600"' in svg
 
+    def test_sweep_retains_little_memory(self):
+        # A 20,000-line sweep is five columns of 40,000 rows, 1.6 MB; a row
+        # object per piece kept 7.7 MB.
+        truncation_sweep(unit_square(), 20_000, seed=7)
+        tracemalloc.start()
+        try:
+            result = truncation_sweep(unit_square(), 20_000, seed=7)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result[0]) == 40_000
+        assert retained < 3e6
+
     def test_sliver_with_centroid_near_boundary_is_degenerate(self, monkeypatch):
         # y <= 2e-9 keeps a valid sliver whose centroid lies within eps of its
         # boundary, so it cannot be classified at its own centroid.
@@ -398,22 +415,23 @@ class TestSweep:
         assert _piece_stable(sq, sliver) is None
         line = (np.array([math.pi / 2]), np.array([2e-9]))
         monkeypatch.setattr(robust2d, "_draw_sweep_lines", lambda P, samples, seed: line)
-        rows, _ = truncation_sweep(sq, 1, seed=0)
-        assert rows[0].degenerate and rows[0].piece_S is None
-        assert rows[0].relative_area == sliver.area
-        assert not rows[1].degenerate
+        sweep, _ = truncation_sweep(sq, 1, seed=0)
+        assert sweep.degenerate[0] and sweep.piece_S[0] == -1
+        assert sweep.relative_area[0] == sliver.area
+        assert not sweep.degenerate[1]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
             truncation_sweep(unit_square(), 0, seed=1)
+        sweep, _ = truncation_sweep(unit_square(), 1, seed=1)
         with pytest.raises(ValueError):
-            summarize_sweep([], bins=0)
+            summarize_sweep(sweep, bins=0)
 
 
 class TestAverageRobustness:
     def test_single_cut_matches_sweep_fraction(self):
-        rows, _ = truncation_sweep(unit_square(), 2000, seed=42)
-        frac0 = sum(1 for r in rows if not r.degenerate and r.delta_S == 0) / len(rows)
+        sweep, _ = truncation_sweep(unit_square(), 2000, seed=42)
+        frac0 = np.count_nonzero(~sweep.degenerate & (sweep.piece_S == sweep.S0)) / len(sweep)
         mu1 = average_robustness(unit_square(), 1, 2000, seed=11)
         assert abs(mu1 - frac0) < 0.05
 
