@@ -21,7 +21,10 @@ relative volume a single plane cut must remove so that the kept piece, judged
 at its own centroid, has fewer stable points (or fewer unstable points, or
 either) than the original.  Its cuts are ``m·z <= e`` with a signed normal
 ``m = side·n``, and one dict per signed normal keeps each cut's evaluation,
-so no cut is clipped twice.
+so no cut is evaluated twice.  ``_CutEvaluator3`` evaluates a batch of cuts
+at once, bit for bit as the clip, ``volume`` and the piece's counts would;
+the search makes one batch of every grid cut, then one per lockstep
+bisection step over all live brackets.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import tol
 from .errors import (
     DegenerateConfiguration,
     DegenerateInput,
@@ -42,6 +46,10 @@ from .errors import (
 from .geom3d import (
     BoundingBox,
     ConvexPolyhedron3,
+    _VOL_REL_FLOOR,
+    _cross3,
+    _fan_terms,
+    _rim_order,
     centroid3,
     clip_halfspace3,
     platonic,
@@ -111,10 +119,11 @@ def _require_interior(P: ConvexPolyhedron3, p: Sequence[float]) -> np.ndarray:
     return q
 
 
-def _face_feet(P: ConvexPolyhedron3, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Plane feet of q on every face and, per face, the largest signed distance
-    of the foot to the face's edge lines (negative = strictly inside)."""
-    feet = q + (P.plane_offsets - P.plane_normals @ q)[:, None] * P.plane_normals
+def _face_feet(P: ConvexPolyhedron3, q: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Plane feet of q on every face, given q's distances ``gaps`` to the face
+    planes (positive inside), and, per face, the largest signed distance of
+    the foot to the face's edge lines (negative = strictly inside)."""
+    feet = q + gaps[:, None] * P.plane_normals
     a, nu, _, _ = P.edge_frames
     _, _, slot_face, starts = P.slot_arrays
     sd = np.einsum("ij,ij->i", feet[slot_face] - a, nu)
@@ -148,7 +157,7 @@ def classify3(P: ConvexPolyhedron3, p: Sequence[float]) -> EquilibriumSet3:
     v = P.coords
     points: list[EquilibriumPoint3] = []
 
-    feet, worst = _face_feet(P, q)
+    feet, worst = _face_feet(P, q, P.plane_offsets - P.plane_normals @ q)
     for k in np.nonzero(worst <= eps)[0]:
         points.append(EquilibriumPoint3("stable", tuple(feet[k]), int(k), bool(worst[k] >= -eps)))
 
@@ -439,16 +448,320 @@ def _search_counts(piece: ConvexPolyhedron3) -> Optional[tuple[int, int]]:
     """(S, U) of a piece at its own centroid; None when degenerate or invalid."""
     try:
         g = np.asarray(centroid3(piece))
-        if piece.interior_margin(g) <= piece.eps:
-            return None
+        gaps = piece.plane_offsets - piece.plane_normals @ g
     except DegenerateInput:  # no volume, or a face of zero area
         return None
     eps = piece.eps
-    face = _face_feet(piece, g)[1]
+    if float(np.min(gaps)) <= eps:  # the interior margin
+        return None
+    face = _face_feet(piece, g, gaps)[1]
     vertex = _vertex_worst(piece, g)
     if (np.abs(face) <= eps).any() or (np.abs(vertex) <= eps).any():
         return None
     return int((face < -eps).sum()), int((vertex > eps).sum())
+
+
+#: Cells (cuts x parent slots) per chunk of the batched cut evaluator.
+_CUT3_CHUNK_CELLS = 1 << 14
+#: Twice the unit roundoff; the rounding bounds below count in it.
+_ULP = 2.0**-52
+
+
+class _CutEvaluator3:
+    """Relative volume removed and the piece's (S, U) for batches of cuts of one body.
+
+    A call takes k cuts ``m·z <= e`` and returns, cut for cut and bit for bit,
+    what :func:`clip_halfspace3`, :func:`volume` and :func:`_search_counts`
+    give, as three arrays: the relative volume removed (0.0 when the cut
+    misses, 1.0 when nothing is left) and the piece's S and U at its own
+    centroid (-1 where there is no piece or ``_search_counts`` gives ``None``).
+
+    Each distinct normal is normalized and projected (``s = v @ n``) once,
+    with the clip's own expressions, so every kept/crossing decision and
+    crossing point is the clip's.  The cuts then run in chunks of at most
+    ``_CUT3_CHUNK_CELLS`` (cut, slot) cells.  When no vertex lies within the
+    merge distance of the plane and no two rim points are that close, the
+    clip merges nothing: a piece's faces are the parent's faces in order, each
+    the parent's own face if the cut keeps it whole, else the run of kept
+    tails and crossing points the clip emits, then the rim in the clip's
+    angle order.  Its volume is the same fan summed by the same reduction (a
+    row of cuts with equal triangle counts).  The counts are read at an
+    approximate centroid and kept only when every decision clears its
+    threshold by a rounding bound; a face of tiny area widens that bound.
+    A rim whose angle order is not clear by its rounding bound is ordered by
+    the clip's own ``_rim_order``.  A cut with a vertex near the plane, a
+    close pair, a topology other than the plain cut or an uncertain count
+    decision goes through the scalar path, which stays the fallback and the
+    test oracle.
+    """
+
+    def __init__(self, P: ConvexPolyhedron3):
+        from scipy.spatial import cKDTree
+
+        self.P = P
+        self.vol0 = volume(P)
+        v = P.coords
+        self.reach = float(np.sqrt((v * v).sum(1)).max())
+        # The clip's merge distance, raised far above the rounding of a signed
+        # distance or a crossing point.
+        self.close = max(P.eps, 1e-13 * P.scale) + 2.0**-40 * (self.reach + P.scale)
+        # Kept vertices never merge when no two parent vertices are close.
+        self.batched = math.isfinite(self.reach) and not len(cKDTree(v).query_pairs(self.close, output_type="ndarray"))
+        if not self.batched:
+            return
+        # A face the cut leaves whole is the parent's face: its fan terms, its
+        # plane and its slots' frames are the parent's.
+        t = P.fan_triangles
+        _, self.w, moment = _fan_terms(v[t[:, 0]], v[t[:, 1]], v[t[:, 2]])
+        tails, _, _, starts = P.slot_arrays
+        tris = np.diff(starts) - 2
+        self.tri_start = np.cumsum(tris) - tris
+        self.face_moment = np.add.reduceat(moment, self.tri_start, axis=0)
+        a, self.nu, self.u, _ = P.edge_frames
+        self.nu_a = np.einsum("ij,ij->i", self.nu, a)
+        self.u_a = np.einsum("ij,ij->i", self.u, a)
+        self.by_tail = np.argsort(tails, kind="stable")
+        self.tail_start = np.searchsorted(tails[self.by_tail], np.arange(len(v)))
+
+    def __call__(self, m, e) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        m = np.ascontiguousarray(m, dtype=float).reshape(-1, 3)
+        e = np.asarray(e, dtype=float).reshape(-1)
+        k = len(e)
+        rel = np.zeros(k)
+        S = np.full(k, -1)
+        U = np.full(k, -1)
+        scalar = np.ones(k, dtype=bool)
+        if self.batched and k:
+            # One normalization and projection per distinct normal, as the clip
+            # computes them: a column of V @ N.T is not always V @ n.
+            _, first, which = np.unique(m.view(np.dtype((np.void, 24))).ravel(), return_index=True, return_inverse=True)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                norm = np.array([np.linalg.norm(m[i]) for i in first.tolist()])
+                n = m[first] / norm[:, None]
+                d = e / norm[which]
+                base = np.stack([self.P.coords @ row for row in n])
+                good = np.flatnonzero((np.isfinite(norm) & (norm > 0.0))[which] & np.isfinite(d))
+                rows = max(1, _CUT3_CHUNK_CELLS // len(self.P.tails))
+                for lo in range(0, len(good), rows):
+                    i = good[lo : lo + rows]
+                    rel[i], S[i], U[i], scalar[i] = self._chunk(n[which[i]], base[which[i]] - d[i, None])
+        for i in np.flatnonzero(scalar).tolist():
+            piece = clip_halfspace3(self.P, m[i], e[i])
+            if piece is None:
+                rel[i] = 1.0
+            elif piece is not self.P:
+                counts = _search_counts(piece)
+                rel[i] = 1.0 - volume(piece) / self.vol0
+                if counts is not None:
+                    S[i], U[i] = counts
+        return rel, S, U
+
+    def _chunk(self, n: np.ndarray, s: np.ndarray):
+        """(rel, S, U, scalar) of cuts with unit normals ``n`` and signed vertex
+        distances ``s``; ``scalar`` marks the cuts left to the scalar path."""
+        P = self.P
+        eps = P.eps
+        v = P.coords
+        nv = len(v)
+        tails, _, slot_face, starts = P.slot_arrays
+        pairs, slot_edge = P.edge_pairing
+        size = starts[1:] - starts[:-1]
+        nf = len(size)
+        keys = nv + len(pairs)  # a piece point is a vertex, or nv + its edge
+        rel = np.zeros(len(s))
+        S = np.full(len(s), -1)
+        U = np.full(len(s), -1)
+        miss = (s <= eps).all(1)
+        empty = ~miss & (s >= -eps).all(1)
+        rel[empty] = 1.0
+        # A vertex this close to the plane may sit on the rim or merge with a
+        # crossing point.
+        scalar = ~(miss | empty) & ((np.abs(s) <= self.close).any(1) | ~np.isfinite(s).all(1))
+        live = np.flatnonzero(~(miss | empty | scalar))
+        if not len(live):
+            return rel, S, U, scalar
+        n, s = n[live], s[live]
+        q = len(live)
+        r = np.arange(q)
+
+        # Crossing points, per cut in the clip's edge order and arithmetic.
+        below = s < 0.0
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        cut = below[:, lo] != below[:, hi]
+        xc, xe = np.nonzero(cut)
+        a, b = lo[xe], hi[xe]
+        sa = s[xc, a]
+        t = sa / (sa - s[xc, b])
+        X = v[a] + t[:, None] * (v[b] - v[a])
+        k = np.bincount(xc, minlength=q)
+        xfirst = np.cumsum(k) - k
+        kpos = np.arange(len(xc)) - xfirst[xc]
+        xid = np.zeros((q, len(pairs)), dtype=np.intp)
+        xid[xc, xe] = np.arange(len(xc))
+
+        # A face keeps all its vertices (intact), none, or some (crossed).  A
+        # crossed face emits, per slot, the tail if kept, then the crossing
+        # point if the slot's edge is cut.
+        kept_tail = below[:, tails]
+        nkept = np.add.reduceat(kept_tail.astype(np.intp), starts[:-1], axis=1)
+        intact = nkept == size
+        crossed = (nkept > 0) & ~intact
+        ec, es, ex = np.nonzero(np.stack([kept_tail & crossed[:, slot_face], cut[:, slot_edge]], axis=2))
+        ex = ex.astype(bool)
+        fk = slot_face[es]
+        head = np.ones(len(es), dtype=bool)
+        head[1:] = (ec[1:] != ec[:-1]) | (fk[1:] != fk[:-1])
+        fstart = np.flatnonzero(head)
+        fsize = np.diff(np.append(fstart, len(es)))
+        nxt = np.arange(1, len(es) + 1)
+        nxt[fstart + fsize - 1] = fstart
+        pid = xid[ec, slot_edge[es]]
+        pts = np.where(ex[:, None], X[pid], v[tails[es]])
+
+        # The rim in the clip's angle order.  The mean, the spread and the
+        # farthest point are the clip's own bits; the angles are within 32 ULP
+        # of its angles, so an order whose gaps clear twice that is its order.
+        # Any other rim is ordered by the clip's own code.
+        K = int(k.max())
+        valid = np.arange(K) < k[:, None]
+        rim = np.zeros((q, K, 3))
+        rim[xc, kpos] = X
+        spread = np.where(valid[..., None], rim - (rim.sum(1) / k[:, None])[:, None], 0.0)
+        ref = spread[r, np.argmax(np.linalg.norm(spread, axis=2), 1)]
+        ref = ref - np.einsum("ij,ij->i", ref, n)[:, None] * n
+        ref = ref / np.linalg.norm(ref, axis=1)[:, None]
+        ang = np.arctan2(np.einsum("ijk,ik->ij", spread, _cross3(n, ref)), np.einsum("ijk,ik->ij", spread, ref))
+        order = np.argsort(np.where(valid, ang, np.inf), axis=1, kind="stable")
+        sa = np.take_along_axis(ang, order, 1)
+        last = np.maximum(k - 1, 0)
+        ok = k >= 3
+        sure = (
+            ((np.diff(sa, axis=1) > 64.0 * _ULP) | ~valid[:, 1:]).all(1)
+            & (sa[:, 0] > 32.0 * _ULP - np.pi)
+            & (sa[r, last] < np.pi - 32.0 * _ULP)
+        )
+        for c in np.flatnonzero(ok & ~sure).tolist():
+            exact = _rim_order(X[xfirst[c] : xfirst[c] + k[c]], n[c])
+            if exact is None:
+                ok[c] = False
+            else:
+                order[c, : k[c]] = exact
+        # No two rim points within the merge distance.
+        d2 = sum((rim[:, :, None, c] - rim[:, None, :, c]) ** 2 for c in range(3))
+        ok &= ((d2 > self.close**2) | ~(valid[:, :, None] & valid[:, None, :]) | np.eye(K, dtype=bool)).all((1, 2))
+        # The plain cut's topology: every crossed face keeps 3 or more points,
+        # each of its rim edges meets the cap's reverse edge, and Euler holds.
+        pos = np.empty((q, K), dtype=np.intp)
+        pos[r[:, None], order] = np.arange(K)
+        xpos = pos[xc, kpos]
+        edge = np.flatnonzero(ex & ex[nxt])
+        ja, jb = pid[edge], pid[nxt[edge]]
+        paired = xpos[ja] == (xpos[jb] + 1) % np.maximum(k[xc[ja]], 1)
+        faces = intact.sum(1) + crossed.sum(1) + 1
+        slots = (intact * size).sum(1) + np.bincount(ec, minlength=q) + k
+        ok &= (
+            (np.bincount(ec[fstart[fsize < 3]], minlength=q) == 0)
+            & (np.bincount(ec[edge], minlength=q) == k)
+            & (np.bincount(ec[edge[~paired]], minlength=q) == 0)
+            & (2 * (below.sum(1) + k) - slots + 2 * faces == 4)
+            & (faces >= 4)
+        )
+
+        # New slots: the crossed faces' emitted points, then each cap in order.
+        cq, cj = np.nonzero(valid)
+        cap = xfirst[cq] + order[cq, cj]
+        A = np.concatenate([pts, X[cap]])
+        B = np.concatenate([pts[nxt], X[xfirst[cq] + order[cq, (cj + 1) % k[cq]]]])
+        key = np.concatenate([np.where(ex, nv + slot_edge[es], tails[es]), nv + xe[cap]])
+        slot_cut = np.concatenate([ec, cq])
+        sg = np.concatenate([np.cumsum(head) - 1, len(fstart) + cq])
+        gstart = np.concatenate([fstart, len(es) + xfirst])
+        gcut = np.concatenate([ec[fstart], r])
+        gsize = np.diff(np.append(gstart, len(A)))
+
+        # Volume: per cut, the fan of every kept face from its first point, in
+        # face order, then the cap's, each term as mass_properties computes it
+        # (an intact face's are the parent's); summed by one reduction per row
+        # of cuts with equal triangle counts.
+        loc = np.arange(len(A)) - gstart[sg]
+        tri = np.flatnonzero((loc >= 1) & (loc <= gsize[sg] - 2))
+        _, w_new, moment_new = _fan_terms(A[gstart[sg[tri]]], A[tri], A[tri + 1])
+        gtri = np.maximum(gsize - 2, 0)
+        first_new = len(self.w) + np.cumsum(gtri) - gtri
+        count = np.zeros((q, nf + 1), dtype=np.intp)
+        src = np.zeros((q, nf + 1), dtype=np.intp)
+        count[:, :nf] = np.where(intact, size - 2, 0)
+        src[:, :nf] = self.tri_start
+        fc, ff = np.nonzero(crossed)
+        count[fc, ff] = gtri[: len(fstart)]
+        src[fc, ff] = first_new[: len(fstart)]
+        count[:, nf] = gtri[len(fstart) :]
+        src[:, nf] = first_new[len(fstart) :]
+        count, src = count.ravel(), src.ravel()
+        term = np.repeat(src - (np.cumsum(count) - count), count) + np.arange(count.sum())
+        w = np.concatenate([self.w, w_new])[term]
+        T = count.reshape(q, -1).sum(1)
+        toff = np.cumsum(T) - T
+        vol = np.zeros(q)
+        for tris in np.unique(T[ok]).tolist():
+            rows = np.flatnonzero(ok & (T == tris))
+            vol[rows] = w[toff[rows, None] + np.arange(tris)].sum(axis=1)
+        good = ok & (vol > _VOL_REL_FLOOR * P.scale**3)
+
+        # The counts at an approximate centroid G.  Faces and their edge
+        # frames are the clip's; the foot of G on a face lies inside an edge
+        # line exactly when G does, as the edge normal is in the face plane.
+        moment = np.stack([np.bincount(slot_cut[tri], moment_new[:, c], q) for c in range(3)], 1)
+        G = (intact @ self.face_moment + moment) / vol[:, None]
+        Gt = G.T
+        face = np.where(intact, np.maximum.reduceat(self.nu @ Gt - self.nu_a[:, None], starts[:-1]).T, np.inf)
+        margin = np.where(intact, (P.plane_offsets[:, None] - P.plane_normals @ Gt).T, np.inf).min(1)
+        vert = np.full((q, keys), np.inf)
+        whole = np.where(intact[:, slot_face].T, self.u @ Gt - self.u_a[:, None], np.inf)
+        vert[:, :nv] = np.minimum.reduceat(whole[self.by_tail], self.tail_start).T
+        nsum = np.add.reduceat(_cross3(A, B), gstart, axis=0)
+        nrm = np.linalg.norm(nsum, axis=1)
+        N = nsum / nrm[:, None]
+        np.minimum.at(margin, gcut, np.einsum("ij,ij->i", N, A[gstart] - G[gcut]))
+        E = B - A
+        u = E / np.sqrt(np.einsum("ij,ij->i", E, E))[:, None]
+        off = G[slot_cut] - A
+        face_new = np.maximum.reduceat(np.einsum("ij,ij->i", off, _cross3(u, N[sg])), gstart)
+        np.minimum.at(vert.ravel(), slot_cut * keys + key, np.einsum("ij,ij->i", u, off))
+
+        # Rounding bounds: the centroid, through the fan's signed volumes
+        # (their magnitudes sum to at most about D^2 R, and D^2 R^2 for the
+        # moments), then each new face normal, then everything else.
+        low = np.minimum(np.where(below[..., None], v, np.inf).min(1), np.minimum.reduceat(X, xfirst))
+        high = np.maximum(np.where(below[..., None], v, -np.inf).max(1), np.maximum.reduceat(X, xfirst))
+        D = np.sqrt(np.einsum("ij,ij->i", high - low, high - low))
+        R = self.reach
+        eps_p = tol.EPS_GEOM * D
+        dN = np.zeros(q)
+        np.maximum.at(dN, gcut, (gsize + 2.0) ** 2 * _ULP * R * R / nrm)
+        slack = 8.0 * (T + 10) * _ULP * D * D * R * R / vol + 4.0 * dN * D + 64.0 * _ULP * (R + D) + 4.0 * _ULP * eps_p
+        lo_t, hi_t = eps_p - slack, eps_p + slack
+        af, an, av = np.abs(face), np.abs(face_new), np.abs(vert)
+        none = (
+            (margin <= lo_t)
+            | (af <= lo_t[:, None]).any(1)
+            | (np.bincount(gcut, an <= lo_t[gcut], q) > 0)
+            | (av <= lo_t[:, None]).any(1)
+        )
+        sure = (
+            (margin > hi_t)
+            & (af > hi_t[:, None]).all(1)
+            & (np.bincount(gcut, ~(an > hi_t[gcut]), q) == 0)
+            & ((av > hi_t[:, None]) | np.isinf(vert)).all(1)
+        )
+        counted = good & sure & ~none
+        stable = (face < -eps_p[:, None]).sum(1) + np.bincount(gcut, face_new < -eps_p[gcut], q).astype(int)
+        unstable = (np.isfinite(vert) & (vert > eps_p[:, None])).sum(1)
+        rel[live] = np.where(good, 1.0 - vol / self.vol0, 1.0)
+        S[live] = np.where(counted, stable, -1)
+        U[live] = np.where(counted, unstable, -1)
+        scalar[live] = ~ok | (good & ~(none | sure))
+        return rel, S, U, scalar
 
 
 def plane_truncation_search(
@@ -465,20 +778,28 @@ def plane_truncation_search(
     their own centroids.  The cheapest transition per (normal, piece side) is
     sharpened by bisection between the best reducing offset and its
     non-reducing neighbor, until the volumes the two ends remove differ by at
-    most ``refine_tol`` (a relative volume; positive and finite), for at most
-    60 steps, or until the bracket cannot beat the best cut so far.
-    Degenerate pieces never count as reductions, so the result is an honest
-    upper bound for all three targets, and the ``reduce_any`` value is exactly
-    min(reduce_S, reduce_U).
+    most ``refine_tol`` (a relative volume; positive and finite), or for at
+    most 60 steps.  Degenerate pieces never count as reductions, so the
+    result is an honest upper bound for all three targets, and the
+    ``reduce_any`` value is exactly min(reduce_S, reduce_U).
 
     A cut is ``m·z <= e`` with the signed normal ``m = side·n`` and
     ``e = side·d``; the ``-n`` family's grid is ``-offsets[::-1]`` and its
     support end ``-lo``.  The kept piece grows with ``e``, so the last
     reducing grid cut is the cheapest and its bracket runs toward the support
     end.  Each signed normal keeps a dict from ``e`` to the cut's evaluation,
-    which the grid fills and the bracket ends and both bisections read; the
-    support end removes nothing and is never clipped.  The witness reports
+    which the grid fills and the bracket ends and the bisections read; the
+    support end removes nothing and is never evaluated.  The witness reports
     ``n``, the unsigned ``offset = side·e`` and the side.
+
+    All grid cuts are one evaluator batch; then every live bracket takes one
+    bisection step per batch, in lockstep, and the brackets are offered to
+    the incumbent in (normal, side, predicate) order with a strict ``<``.
+    Bisecting one bracket at a time could stop a bracket once its non-reducing
+    end removed at least the incumbent's volume; lockstep does not, and gives
+    the same witness: the volume a cut removes falls as ``e`` grows, so such
+    a bracket ends with ``rel_a >= rel_b >=`` that incumbent and never
+    replaces it.
     """
     kinds = {"reduce_S": ("partial_s", "S"), "reduce_U": ("partial_u", "U"), "reduce_any": ("partial_any", "SU")}
     if target not in kinds:
@@ -493,64 +814,77 @@ def plane_truncation_search(
     if eq0.any_degenerate:
         raise DegenerateConfiguration("base classification is degenerate")
     S0, U0 = eq0.S, eq0.U
-    vol0 = volume(P)
     normals = fibonacci_sphere(n_normals) @ rotation_from_seed(seed).T
+    evaluate = _CutEvaluator3(P)
 
-    def evaluate(m: np.ndarray, e: float, seen: dict):
-        """(relative volume removed, reduces_S, reduces_U) of the cut m·z <= e,
-        or None; ``seen`` holds the cuts of normal m already evaluated."""
-        if e not in seen:
-            piece = clip_halfspace3(P, m, e)
-            counts = None if piece is None or piece is P else _search_counts(piece)
-            seen[e] = None if counts is None else (1.0 - volume(piece) / vol0, counts[0] < S0, counts[1] < U0)
-        return seen[e]
-
-    best: dict[str, Optional[dict]] = {"S": None, "U": None}
-
+    # Family 2j + 0 is normal j's side +1, family 2j + 1 its side -1.
+    families = []
     for n in normals:
         lo, hi = P.support_interval(n)
         offs = np.linspace(lo, hi, n_offsets + 2)[1:-1]
-        for side, grid, end in ((+1, offs.tolist(), hi), (-1, (-offs[::-1]).tolist(), -lo)):
-            m = side * n
-            seen = {}
-            for e in grid:
-                evaluate(m, e, seen)
-            for pred_idx, pred in ((1, "S"), (2, "U")):
-                reducing = [e for e in grid if seen[e] is not None and seen[e][pred_idx]]
-                if not reducing:
-                    continue
-                # The kept part grows with e, so the last reducing grid cut is
-                # the cheapest.  Bracket it against the next usable grid cut,
-                # or the support end, which removes nothing and is not clipped.
-                e_a = reducing[-1]
-                rel_a = seen[e_a][0]
-                e_b = next((e for e in grid if e > e_a and seen[e] is not None), end)
-                res_b = seen.get(e_b)
-                rel_b = res_b[0] if res_b is not None else 0.0
-                for _ in range(60):
-                    if abs(rel_a - rel_b) <= refine_tol:
-                        break
-                    cur = best[pred]
-                    if cur is not None and rel_b >= cur["relative_volume_removed"]:
-                        break  # this bracket cannot beat the incumbent
-                    mid = 0.5 * (e_a + e_b)
-                    res = evaluate(m, mid, seen)
-                    if res is not None and res[pred_idx]:
-                        e_a, rel_a = mid, res[0]
-                    else:
-                        e_b = mid
-                        if res is not None:
-                            rel_b = res[0]
-                if best[pred] is None or rel_a < best[pred]["relative_volume_removed"]:
-                    best[pred] = {
-                        "type": "plane",
-                        "normal": [float(c) for c in n],
-                        # A bracket (-x, x) bisects to e = +0.0, where side·e is -0.0:
-                        # the unsigned offset of that cut is +0.0.
-                        "offset": side * e_a + 0.0,
-                        "side": side,
-                        "relative_volume_removed": float(rel_a),
-                    }
+        families += [(n, +1, offs.tolist(), hi), (n, -1, (-offs[::-1]).tolist(), -lo)]
+    signed = [side * n for n, side, _, _ in families]
+    seen: list[dict] = [{} for _ in families]
+
+    def run(cuts: dict) -> None:
+        """Evaluate the (family, e) cuts into ``seen`` as (relative volume
+        removed, reduces_S, reduces_U), or None for an unusable piece."""
+        if not cuts:
+            return
+        fam, es = zip(*cuts)
+        rel, S, U = evaluate(np.array([signed[f] for f in fam]), es)
+        for f, e, r, s, u in zip(fam, es, rel.tolist(), S.tolist(), U.tolist()):
+            seen[f][e] = None if s < 0 else (r, s < S0, u < U0)
+
+    run(dict.fromkeys((f, e) for f, (_, _, grid, _) in enumerate(families) for e in grid))
+
+    # One bracket [family, pred_idx, e_a, rel_a, e_b, rel_b] per family and
+    # predicate with a reducing grid cut.  The kept part grows with e, so the
+    # last reducing grid cut is the cheapest; its bracket runs to the next
+    # usable grid cut, or to the support end, which removes nothing and is
+    # never evaluated.
+    brackets = []
+    for f, (_, _, grid, end) in enumerate(families):
+        done = seen[f]
+        for pred_idx in (1, 2):
+            reducing = [e for e in grid if done[e] is not None and done[e][pred_idx]]
+            if not reducing:
+                continue
+            e_a = reducing[-1]
+            e_b = next((e for e in grid if e > e_a and done[e] is not None), end)
+            res_b = done.get(e_b)
+            brackets.append([f, pred_idx, e_a, done[e_a][0], e_b, 0.0 if res_b is None else res_b[0]])
+
+    # Bisect all brackets in lockstep, one evaluator call per step.
+    for _ in range(60):
+        live = [b for b in brackets if abs(b[3] - b[5]) > refine_tol]
+        if not live:
+            break
+        mids = [0.5 * (b[2] + b[4]) for b in live]
+        run(dict.fromkeys((b[0], mid) for b, mid in zip(live, mids) if mid not in seen[b[0]]))
+        for b, mid in zip(live, mids):
+            res = seen[b[0]][mid]
+            if res is not None and res[b[1]]:
+                b[2], b[3] = mid, res[0]
+            else:
+                b[4] = mid
+                if res is not None:
+                    b[5] = res[0]
+
+    best: dict[str, Optional[dict]] = {"S": None, "U": None}
+    for f, pred_idx, e_a, rel_a, _, _ in brackets:
+        n, side, _, _ = families[f]
+        pred = "SU"[pred_idx - 1]
+        if best[pred] is None or rel_a < best[pred]["relative_volume_removed"]:
+            best[pred] = {
+                "type": "plane",
+                "normal": [float(c) for c in n],
+                # A bracket (-x, x) bisects to e = +0.0, where side·e is -0.0:
+                # the unsigned offset of that cut is +0.0.
+                "offset": side * e_a + 0.0,
+                "side": side,
+                "relative_volume_removed": float(rel_a),
+            }
 
     vS, vU = (None if best[p] is None else best[p]["relative_volume_removed"] for p in "SU")
     witness = min((best[p] for p in preds if best[p] is not None), key=lambda w: w["relative_volume_removed"], default=None)

@@ -40,6 +40,22 @@ Point3 = tuple[float, float, float]
 _VOL_REL_FLOOR = 1e-12
 
 
+def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of (..., 3) arrays, bit for bit, without its axis handling."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _fan_terms(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per fan triangle (a, b, c): the cross product (b - a) x (c - a), the
+    signed volume of the tetrahedron on the triangle and the origin, and that
+    volume's first moment."""
+    cr = _cross3(b - a, c - a)
+    w = np.einsum("ij,ij->i", cr, a) / 6.0
+    return cr, w, w[:, None] * (a + b + c) / 4.0
+
+
 class ConvexPolyhedron3:
     """Immutable convex polyhedron (vertex coordinates + oriented face cycles).
 
@@ -108,7 +124,7 @@ class ConvexPolyhedron3:
         """(F, 3) outward unit normals (Newell's method per face)."""
         tails, heads, _, starts = self.slot_arrays
         v = self.coords
-        contrib = np.cross(v[tails], v[heads])
+        contrib = _cross3(v[tails], v[heads])
         sums = np.add.reduceat(contrib, starts[:-1], axis=0)
         norms = np.linalg.norm(sums, axis=1)
         if np.any(norms <= 0.0):
@@ -129,7 +145,7 @@ class ConvexPolyhedron3:
         e = v[heads] - a
         lengths = np.linalg.norm(e, axis=1)
         u = e / lengths[:, None]
-        nu = np.cross(u, self.plane_normals[slot_face])
+        nu = _cross3(u, self.plane_normals[slot_face])
         return a, nu, u, lengths
 
     @cached_property
@@ -172,14 +188,12 @@ class ConvexPolyhedron3:
         """(volume, solid centroid, surface area) via an origin tetrahedron fan."""
         v = self.coords
         t = self.fan_triangles
-        a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-        cr = np.cross(b - a, c - a)
-        w = np.einsum("ij,ij->i", cr, a) / 6.0
+        cr, w, moment = _fan_terms(v[t[:, 0]], v[t[:, 1]], v[t[:, 2]])
         vol = float(w.sum())
         surf = float(np.linalg.norm(cr, axis=1).sum() / 2.0)
         if vol <= 0.0:
             return vol, (math.nan, math.nan, math.nan), surf
-        cen = (w[:, None] * (a + b + c) / 4.0).sum(axis=0) / vol
+        cen = moment.sum(axis=0) / vol
         return vol, (float(cen[0]), float(cen[1]), float(cen[2])), surf
 
     def structural_ok(self) -> bool:
@@ -488,21 +502,10 @@ def clip_halfspace3(
 
     # The cut cross-section ring: kept on-plane vertices plus crossing points.
     rim = np.concatenate([np.nonzero(below & (np.abs(s) <= eps))[0], nv + np.arange(len(new_pts))])
-    if len(rim) >= 3:
-        pts2 = all_pts[rim]
-        center = pts2.mean(axis=0)
-        spread = pts2 - center
-        ref = spread[int(np.argmax(np.linalg.norm(spread, axis=1)))]
-        ref = ref - (ref @ n) * n
-        rn = np.linalg.norm(ref)
-        if rn > 0.0:
-            ref /= rn
-            other = np.cross(n, ref)
-            ang = np.arctan2(spread @ other, spread @ ref)
-            # Counterclockwise around n makes n the outward normal of the cut
-            # face, matching the kept side n·x <= d.
-            runs.append(rim[np.argsort(ang, kind="stable")])
-            sizes.append([len(rim)])
+    order = _rim_order(all_pts[rim], n) if len(rim) >= 3 else None
+    if order is not None:
+        runs.append(rim[order])
+        sizes.append([len(rim)])
     flat = np.concatenate(runs)
     sizes = np.concatenate(sizes)
 
@@ -526,6 +529,21 @@ def clip_halfspace3(
     if volume(piece) <= _VOL_REL_FLOOR * P.scale**3:
         return None
     return piece
+
+
+def _rim_order(pts: np.ndarray, n: np.ndarray) -> Optional[np.ndarray]:
+    """Order of the rim points ``pts`` of a cut with unit normal ``n``:
+    counterclockwise around ``n`` by angle from the point farthest from their
+    mean, so that ``n`` is the outward normal of the cut face, matching the
+    kept side n·x <= d.  None when the points span no direction."""
+    spread = pts - pts.mean(axis=0)
+    ref = spread[int(np.argmax(np.linalg.norm(spread, axis=1)))]
+    ref = ref - (ref @ n) * n
+    rn = np.linalg.norm(ref)
+    if not rn > 0.0:
+        return None
+    ref /= rn
+    return np.argsort(np.arctan2(spread @ _cross3(n, ref), spread @ ref), kind="stable")
 
 
 def _merge_points(

@@ -731,9 +731,14 @@ def sweep_csv(sweep: TruncationSweep) -> str:
     S0, piece_S = sweep.S0, sweep.piece_S.tolist()
     # The piece_S, delta_S and degenerate fields, once per distinct count.
     fields = {s: ",,1" if s < 0 else f"{s},{s - S0},0" for s in set(piece_S)}
+    # The theta and offset fields, once per run of rows with the same bits
+    # (a line's two rows); -0.0 and +0.0 differ here, as in the text.
+    bits = np.stack([sweep.theta, sweep.offset]).astype(float).view(np.int64)
+    new = np.ones(len(piece_S), dtype=bool)
+    new[1:] = (bits[:, 1:] != bits[:, :-1]).any(0)
+    prefix = [f"{fmt_g17(t)},{fmt_g17(o)}" for t, o in zip(sweep.theta[new].tolist(), sweep.offset[new].tolist())]
     columns = (
-        map(fmt_g17, sweep.theta.tolist()),
-        map(fmt_g17, sweep.offset.tolist()),
+        map(prefix.__getitem__, (np.cumsum(new) - 1).tolist()),
         map(str, sweep.side.tolist()),
         map(fmt_g17, sweep.relative_area.tolist()),
         map(fields.__getitem__, piece_S),

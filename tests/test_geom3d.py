@@ -9,6 +9,7 @@ from equirobust.equilib3d import _vertex_worst
 from equirobust.errors import DegenerateInput, NonConvexInput
 from equirobust.geom3d import (
     ConvexPolyhedron3,
+    _cross3,
     aabb,
     bounding_box,
     centroid3,
@@ -264,13 +265,14 @@ def _topology_oracle(P):
     return edges, [edge_faces[e] for e in edges], [sorted(s) for s in nbrs], tris
 
 
-def _topology_bodies():
+def _digest_cuts():
+    """The digest's bodies, and the cuts (P, m, e) of ``m·z <= e`` whose pieces it pins."""
     rng = np.random.default_rng(7)
     bodies = [platonic(name) for name in ("tetra", "cube", "octa", "dodeca", "icosa")]
     bodies += [generator_prism(k, 1.5) for k in (3, 5, 8)]
     bodies.append(generator_truncated_cylinder(1.0, 3.0))
     bodies += [random_hull3(rng, n) for n in (8, 20, 60)]
-    pieces = []
+    cuts = []
     for P in bodies[:5] + bodies[-4:]:
         for _ in range(3):
             n = rng.standard_normal(3)
@@ -281,17 +283,32 @@ def _topology_bodies():
             offsets = [float(rng.uniform(lo, hi))]
             vertex = float(P.coords[int(rng.integers(len(P.vertices)))] @ n)
             offsets += [vertex + m * P.eps for m in (-4, -3, -2, -1, 1, 2, 3, 4)]
-            for d in offsets:
-                for side in (1, -1):
-                    piece = clip_halfspace3(P, side * n, side * d)
-                    if piece is not None and piece is not P:
-                        pieces.append(piece)
-    return bodies + pieces
+            cuts += [(P, side * n, side * d) for d in offsets for side in (1, -1)]
+    return bodies, cuts
+
+
+def _topology_bodies():
+    bodies, cuts = _digest_cuts()
+    pieces = [(P, clip_halfspace3(P, m, e)) for P, m, e in cuts]
+    return bodies + [piece for P, piece in pieces if piece is not None and piece is not P]
 
 
 # sha256 over off_dumps of every body and piece of _topology_bodies(): pins
 # the clip's output byte for byte, merge-path pieces included.
 TOPOLOGY_BODIES_OFF_SHA256 = "7b72de6ae588d8e9744e373c833aa5192ef90136d88e681039fe5bc67cb0d216"
+
+
+def test_cross3_is_np_cross_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for shape in ((3,), (40, 3)):
+        for _ in range(200):
+            a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+            b = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                assert np.array_equal(_cross3(a, b), np.cross(a, b), equal_nan=True)
+    # Rows against one vector broadcast as np.cross broadcasts them.
+    a, b = rng.standard_normal((5, 3)), rng.standard_normal(3)
+    assert np.array_equal(_cross3(a, b), np.cross(a, b))
 
 
 class TestTopology:

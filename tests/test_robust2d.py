@@ -369,6 +369,32 @@ class TestSweep:
         assert lines[0] == "bin_lo,bin_hi,frac_dS_-2,frac_dS_-1,frac_dS_0,frac_dS_+1,frac_degenerate"
         assert len(lines) == 21
 
+    def test_csv_formats_each_row_as_its_own_values(self):
+        # sweep_csv formats theta and offset once per run of equal rows; rows
+        # that differ only in the sign of a zero, and a one-row sweep, keep
+        # their own text.
+        def row_by_row(sweep):
+            lines = ["theta,offset,side,relative_area,piece_S,delta_S,degenerate"]
+            columns = (sweep.theta, sweep.offset, sweep.side, sweep.relative_area, sweep.piece_S)
+            for t, o, side, rel, s in zip(*(c.tolist() for c in columns)):
+                tail = ",,1" if s < 0 else f"{s},{s - sweep.S0},0"
+                lines.append(",".join([format(t, ".17g"), format(o, ".17g"), str(side), format(rel, ".17g"), tail]))
+            return "\n".join(lines) + "\n"
+
+        one = TruncationSweep(4, np.array([0.1]), np.array([0.2]), np.array([1]), np.array([0.3]), np.array([-1]))
+        signed = TruncationSweep(
+            3,
+            np.array([0.0, 0.0, -0.0, -0.0, 0.5]),
+            np.array([-0.0, 0.0, 0.0, 0.0, 0.0]),
+            np.array([1, -1, 1, -1, 1]),
+            np.array([0.25, 0.75, 0.5, 0.5, 1.0]),
+            np.array([2, 3, -1, 4, 3]),
+        )
+        swept, _ = truncation_sweep(unit_square(), 50, seed=1)
+        for sweep in (one, signed, swept):
+            assert sweep_csv(sweep) == row_by_row(sweep)
+        assert sweep_csv(signed).splitlines()[1:3] == ["0,-0,1,0.25,2,-1,0", "0,0,-1,0.75,3,0,0"]
+
     def test_summary_rejects_out_of_schema_delta(self):
         one = TruncationSweep(4, np.array([0.1]), np.array([0.2]), np.array([1]), np.array([0.3]), np.array([1]))
         summary = summarize_sweep(one, bins=5)

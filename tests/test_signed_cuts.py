@@ -251,13 +251,16 @@ class TestPlaneSearch:
         assert math.copysign(1.0, rep.witness["offset"]) == 1.0 and rep.witness["offset"] == 0.0
 
     def test_no_cut_is_clipped_twice(self, monkeypatch):
+        # Every cut the search makes enters the batched evaluator (which clips
+        # the cuts it cannot certify); none enters it twice.
         cuts = []
+        evaluate = equilib3d._CutEvaluator3.__call__
 
-        def recording(P, normal, offset):
-            cuts.append((tuple(float(c) for c in normal), float(offset)))
-            return clip_halfspace3(P, normal, offset)
+        def recording(self, m, e):
+            cuts.extend((tuple(row), float(x)) for row, x in zip(np.asarray(m).tolist(), e))
+            return evaluate(self, m, e)
 
-        monkeypatch.setattr(equilib3d, "clip_halfspace3", recording)
+        monkeypatch.setattr(equilib3d._CutEvaluator3, "__call__", recording)
         for body, grid, seed in (
             (platonic("cube"), (4, 4), 1),
             (platonic("tetra"), (9, 7), 2),
@@ -274,13 +277,16 @@ class TestPlaneSearch:
     def test_support_end_is_never_clipped(self, monkeypatch):
         # A bracket with no usable grid cut above its last reducing one runs to
         # the family's support end, where the cut removes nothing.
+        # Every cut the search makes enters the batched evaluator.
         at_end = []
+        evaluate = equilib3d._CutEvaluator3.__call__
 
-        def recording(P, normal, offset):
-            at_end.append(offset == float(np.max(P.coords @ np.asarray(normal))))
-            return clip_halfspace3(P, normal, offset)
+        def recording(self, m, e):
+            m = np.asarray(m)
+            at_end.extend(float(x) == float(np.max(self.P.coords @ row)) for row, x in zip(m, e))
+            return evaluate(self, m, e)
 
-        monkeypatch.setattr(equilib3d, "clip_halfspace3", recording)
+        monkeypatch.setattr(equilib3d._CutEvaluator3, "__call__", recording)
         for body, grid, seed in (
             (platonic("cube"), (4, 4), 1),
             (platonic("icosa"), (6, 3), 4),
