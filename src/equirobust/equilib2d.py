@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DegenerateConfiguration, ReferenceOutside
 from .geom2d import ConvexPolygon2, Point2
 from .reports import json_dumps_g17
+from .util import RayTable, ray_intervals
 
 
 @dataclass(frozen=True)
@@ -159,21 +160,52 @@ def stable_count(P: ConvexPolygon2, q: Sequence[float]) -> int:
     return count
 
 
+def _count_frames(P: ConvexPolygon2) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per vertex a: the anchor, the edge ``e`` to the next vertex, the edge
+    ``w`` to the previous one, and ``e·e`` as ``stable_count_batch`` forms it."""
+    a = np.asarray(P.vertices, dtype=float)
+    e = np.roll(a, -1, axis=0) - a
+    ee = np.array([float(x @ x) for x in e])
+    return a, e, np.roll(a, 1, axis=0) - a, ee
+
+
 def stable_count_batch(P: ConvexPolygon2, qs: np.ndarray) -> np.ndarray:
-    """Vectorized ``stable_count`` over an (m, 2) array of query points."""
+    """Vectorized ``stable_count`` over an (m, 2) array of query points.
+
+    The sampled robustness walk reads this count from
+    ``stable_count_rays``' table and calls this only for the points the
+    table leaves undecided, so this is the walk's fallback and the table's
+    test oracle.
+    """
     qs = np.asarray(qs, dtype=float)
-    pts = np.asarray(P.vertices)
-    n = len(pts)
+    a, e, w, ee = _count_frames(P)
     counts = np.zeros(len(qs), dtype=int)
-    for i in range(n):
-        a = pts[i]
-        b = pts[(i + 1) % n]
-        u = pts[(i - 1) % n]
-        e = b - a
-        rel = qs - a
-        t = (rel @ e) / float(e @ e)
+    for i in range(len(a)):
+        rel = qs - a[i]
+        d_next = rel @ e[i]
+        t = d_next / ee[i]
         counts += (t > 0.0) & (t < 1.0)
-        d_next = rel @ e
-        d_prev = rel @ (u - a)
-        counts += (d_next < 0.0) & (d_prev < 0.0)
+        counts += (d_next < 0.0) & (rel @ w[i] < 0.0)
     return counts
+
+
+def stable_count_rays(P: ConvexPolygon2, origin: np.ndarray, directions: np.ndarray) -> RayTable:
+    """``stable_count_batch``'s table along the rays ``origin + s·u`` (see
+    :func:`util.ray_intervals`), built from the same tests.
+
+    Per vertex there are two faces of two slots each: the edge to the next
+    vertex counts for ``0 < t < 1`` (``-(rel·e) < 0`` and ``rel·e / (e·e) <
+    1``), the vertex for ``rel·e < 0`` and ``rel·w < 0``, with ``rel = p -
+    a``.
+    """
+    a, e, w, ee = _count_frames(P)
+    rel = origin - a
+    x_e = np.einsum("ij,ij->i", rel, e)
+    x_w = np.einsum("ij,ij->i", rel, w)
+    zero = np.zeros(len(a))
+    vectors = np.stack([-e, e, e, w], axis=1).reshape(-1, 2)
+    offsets = np.column_stack([-x_e, x_e - ee, x_e, x_w]).ravel()
+    thresholds = np.column_stack([zero, ee, zero, zero]).ravel()
+    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(origin))))
+    starts = np.arange(0, len(vectors) + 1, 2)
+    return ray_intervals(directions, vectors, offsets, thresholds, scale, starts)

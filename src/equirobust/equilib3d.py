@@ -57,7 +57,7 @@ from .geom3d import (
     volume,
 )
 from .reports import RobustnessReport, json_dumps_g17
-from .util import fibonacci_sphere, first_exit_distances, rotation_from_seed
+from .util import RayTable, fibonacci_sphere, first_exit_distances, ray_intervals, rotation_from_seed
 
 Point3 = tuple[float, float, float]
 Carrier = Union[int, tuple[int, int]]
@@ -112,11 +112,14 @@ class EquilibriumSet3:
         return json_dumps_g17(self.as_dict())
 
 
-def _require_interior(P: ConvexPolyhedron3, p: Sequence[float]) -> np.ndarray:
+def _require_interior(P: ConvexPolyhedron3, p: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """``p`` as an array, and its distances to the face planes (positive
+    inside); raises ``ReferenceOutside`` unless it is strictly interior."""
     q = np.asarray(p, dtype=float)
-    if P.interior_margin(q) <= P.eps:
+    gaps = P.plane_offsets - P.plane_normals @ q
+    if float(np.min(gaps)) <= P.eps:  # the interior margin
         raise ReferenceOutside("reference point must be strictly interior")
-    return q
+    return q, gaps
 
 
 def _face_feet(P: ConvexPolyhedron3, q: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,12 +155,12 @@ def classify3(P: ConvexPolyhedron3, p: Sequence[float]) -> EquilibriumSet3:
     ``h >= -eps``, flagged when ``h <= eps`` or the foot is within eps of an
     end.
     """
-    q = _require_interior(P, p)
+    q, gaps = _require_interior(P, p)
     eps = P.eps
     v = P.coords
     points: list[EquilibriumPoint3] = []
 
-    feet, worst = _face_feet(P, q, P.plane_offsets - P.plane_normals @ q)
+    feet, worst = _face_feet(P, q, gaps)
     for k in np.nonzero(worst <= eps)[0]:
         points.append(EquilibriumPoint3("stable", tuple(feet[k]), int(k), bool(worst[k] >= -eps)))
 
@@ -184,11 +187,21 @@ def classify3(P: ConvexPolyhedron3, p: Sequence[float]) -> EquilibriumSet3:
     return EquilibriumSet3(reference=(float(q[0]), float(q[1]), float(q[2])), points=tuple(points))
 
 
+def _slot_lines(P: ConvexPolyhedron3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nu, c, starts): a point's foot on a face is strictly inside the face
+    when ``nu @ q < c`` holds for all its slots, ``starts[f]:starts[f + 1]``."""
+    a, nu, _, _ = P.edge_frames
+    return nu, np.einsum("ij,ij->i", a, nu), P.slot_arrays[3]
+
+
 def stable_count3(P: ConvexPolyhedron3, qs: np.ndarray) -> np.ndarray:
     """Number of faces whose plane-foot lies strictly inside the face, per query point.
 
     Defined for arbitrary points (also outside ``P``); this is the count whose
-    first change the sampled robustness walk detects.
+    first change the sampled robustness walk detects.  The walk reads it from
+    ``stable_count3_rays``' table and calls this only for the points the
+    table leaves undecided, so this is the walk's fallback and the table's
+    test oracle.
 
     The feet are never formed.  Each slot's in-face edge normal ``nu = u x n``
     is orthogonal to its face normal ``n``, and the foot differs from ``q``
@@ -198,9 +211,7 @@ def stable_count3(P: ConvexPolyhedron3, qs: np.ndarray) -> np.ndarray:
     slots do.
     """
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
-    a, nu, _, _ = P.edge_frames
-    starts = P.slot_arrays[3]
-    c = np.einsum("ij,ij->i", a, nu)
+    nu, c, starts = _slot_lines(P)
     counts = np.empty(len(qs), dtype=int)
     # About 1.6 MB of float temporaries per block.
     block = max(1, int(2e5) // len(c))
@@ -208,6 +219,15 @@ def stable_count3(P: ConvexPolyhedron3, qs: np.ndarray) -> np.ndarray:
         inside = nu @ qs[i : i + block].T < c[:, None]
         counts[i : i + block] = np.logical_and.reduceat(inside, starts[:-1], axis=0).sum(axis=0)
     return counts
+
+
+def stable_count3_rays(P: ConvexPolyhedron3, origin: np.ndarray, directions: np.ndarray) -> RayTable:
+    """``stable_count3``'s table along the rays ``origin + s·u`` (see
+    :func:`util.ray_intervals`), built from the same slot tests ``nu·p < c``.
+    """
+    nu, c, starts = _slot_lines(P)
+    scale = float(np.max(np.abs(origin)))
+    return ray_intervals(directions, nu, nu @ origin - c, c, scale, starts)
 
 
 def poincare_hopf_check(eq: EquilibriumSet3) -> bool:
@@ -281,8 +301,8 @@ def rho_in_exact_3d(
     (some face's foot crossing one of that face's edges), so the minimum wall
     distance is the exact radius of the count-preserving region.
     """
-    q = _require_interior(P, p)
-    eq = classify3(P, q)
+    q = np.asarray(p, dtype=float)
+    eq = classify3(P, q)  # raises ReferenceOutside unless q is strictly interior
     if eq.any_degenerate:
         raise DegenerateConfiguration("equilibria are degenerate at the reference point")
     dists = _wall_distances(P, q, rays_only)
@@ -315,16 +335,23 @@ def rho_in_sampled_3d(
 
     Walks a Fibonacci-sphere direction set outward from ``p`` and bisects the
     first point where the face-foot count differs from the count at ``p``.
+    The walk reads the counts from ``stable_count3_rays``' table and asks
+    ``stable_count3`` only where the table cannot certify them.
+    ``tol_step`` (relative to the body's scale) must be positive and finite.
     """
     if directions < 128:
         raise ValueError("directions must be at least 128")
-    q = _require_interior(P, p)
+    if not (math.isfinite(tol_step) and tol_step > 0.0):
+        raise ValueError("tol_step must be a positive finite number")
+    q = _require_interior(P, p)[0]
     dirs = fibonacci_sphere(directions)
     target = int(stable_count3(P, q[None, :])[0])
     far = float(np.max(np.linalg.norm(P.coords - q, axis=1)))
     s_max = 2.0 * (far + P.scale)
     tol_abs = tol_step * P.scale
-    dists = first_exit_distances(lambda pts: stable_count3(P, pts), q, dirs, target, s_max, tol_abs)
+    dists = first_exit_distances(
+        lambda pts: stable_count3(P, pts), q, dirs, target, s_max, tol_abs, stable_count3_rays(P, q, dirs)
+    )
     idx = int(np.argmin(dists))
     surf = surface_area(P)
     return RobustnessReport(

@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tol
-from .equilib2d import equilibria, stable_count_batch
+from .equilib2d import equilibria, stable_count_batch, stable_count_rays
 from .errors import DegenerateConfiguration, ReferenceOutside, TooFewStable
 from .geom2d import (
     _AREA_FLOOR,
@@ -147,13 +147,17 @@ def rho_in_sampled(P: ConvexPolygon2, p: Sequence[float], directions: int = 720,
     Walks evenly spaced directions from ``p`` and bisects the first step at
     which the stable count (relaxed variant, valid for exterior points)
     changes; the smallest such distance over all directions, normalized by the
-    perimeter, estimates the internal robustness from above.  ``directions``
-    must be positive.
+    perimeter, estimates the internal robustness from above.  The walk reads
+    the counts from ``stable_count_rays``' table and asks
+    ``stable_count_batch`` only where the table cannot certify them.
+    ``directions`` must be positive and ``tol_step`` positive and finite.
     """
     from .util import first_exit_distances
 
     if directions < 1:
         raise ValueError("directions must be positive")
+    if not (math.isfinite(tol_step) and tol_step > 0.0):
+        raise ValueError("tol_step must be a positive finite number")
     eq = equilibria(P, p)
     if eq.any_degenerate:
         raise DegenerateConfiguration("reference point gives a degenerate configuration")
@@ -163,7 +167,9 @@ def rho_in_sampled(P: ConvexPolygon2, p: Sequence[float], directions: int = 720,
     verts = np.asarray(P.vertices)
     far = float(np.hypot(verts[:, 0] - origin[0], verts[:, 1] - origin[1]).max())
     s_max = 2.0 * (far + P.diameter)
-    exits = first_exit_distances(lambda qs: stable_count_batch(P, qs), origin, dirs, eq.S, s_max, tol_step)
+    exits = first_exit_distances(
+        lambda qs: stable_count_batch(P, qs), origin, dirs, eq.S, s_max, tol_step, stable_count_rays(P, origin, dirs)
+    )
     k = int(np.argmin(exits))
     return RobustnessReport(
         kind="internal",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -41,10 +42,153 @@ def rotation_from_seed(seed: int) -> np.ndarray:
 
 
 # Steps of the coarse outward scan and of the verification sweep below, and
-# the most query points the sweep asks ``count_batch`` for in one call.
+# the most query points ``count_batch`` is asked for in one call.
 _EXIT_COARSE_STEPS = 128
 _EXIT_VERIFY_STEPS = 512
 _EXIT_BATCH_POINTS = 4096
+#: Cells (rows x faces, rows x slots or rows x grid steps) per block of the
+#: ray tables below; a block's float temporaries take 128 kB each.
+_RAY_BLOCK_CELLS = 1 << 14
+#: Unit roundoff of float64; the ray tables' rounding bounds count in it.
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+class RayTable(NamedTuple):
+    """A count's face intervals along rays, one row per ray.
+
+    Row r's faces are the columns ``ptr[r]:ptr[r + 1]`` of ``bounds``, whose
+    four rows are ``(lo_out, lo_in, hi_in, hi_out)`` with ``lo_out <= lo_in
+    <= hi_in <= hi_out``: the face certainly counts at steps ``lo_in < s <
+    hi_in``, certainly does not for ``s < lo_out`` or ``s > hi_out``, and is
+    undecided elsewhere.  Faces that never count are left out.
+    """
+
+    bounds: np.ndarray
+    ptr: np.ndarray
+
+    @classmethod
+    def from_dense(cls, bounds: np.ndarray) -> "RayTable":
+        """From (4, rows, faces) bounds, a face that never counts having
+        ``lo_out = +inf``."""
+        keep = bounds[0] < np.inf
+        return cls(bounds[:, keep], np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))]))
+
+
+def ray_intervals(
+    directions: np.ndarray,
+    vectors: np.ndarray,
+    offsets: np.ndarray,
+    thresholds: np.ndarray,
+    scale: float,
+    starts: np.ndarray,
+) -> RayTable:
+    """A count's :class:`RayTable` along the rays ``origin + s·u``, one row per direction.
+
+    A count tests slots and counts a face (slots ``starts[f]:starts[f + 1]``)
+    when all its slots pass.  Slot j passes at the query point ``p =
+    origin + s·u`` when ``vectors[j]·(origin + s·u) - thresholds[j] < 0``, so
+    on a ray it passes on a half line of ``s`` and a face counts on an
+    interval.  ``offsets[j]`` is that test's left side at ``s = 0``.
+
+    The scalar count decides each slot in floating point: it forms ``p`` as
+    ``origin + s·u``, then ``vectors[j]·p`` or ``vectors[j]·(p - a_j)`` for
+    an anchor ``a_j``, its sum in any order, fused or not, and compares with
+    the threshold directly or as ``(vectors[j]·(p - a_j)) / thresholds[j] <
+    1`` with ``thresholds[j] > 0``.  ``scale`` bounds every coordinate of
+    ``origin`` and of the anchors, ``directions`` have coordinates of at most
+    1 and ``offsets`` is found with no more rounding than one such test.
+    Then the scalar decision and the exact sign of the test differ only
+    where ``|test| <= alpha + beta·s``, with ``alpha = 32u·(|v|_1·scale +
+    |threshold|)`` and ``beta = 16u·|v|_1·|u|_inf`` (``u`` the unit
+    roundoff), about twice the worst case.  Each breakpoint ``b`` is widened
+    to the steps where that can hold, ``b ± w``.  A slot whose slope is
+    within ``2·beta`` of zero is decided by its offset's sign only below the
+    step where the bound can reach it.
+
+    The table is built for blocks of directions, so its temporaries stay
+    near ``_RAY_BLOCK_CELLS`` cells.
+    """
+    directions = np.asarray(directions, dtype=float)
+    vectors = np.asarray(vectors, dtype=float)
+    u = _UNIT_ROUNDOFF
+    norm1 = np.abs(vectors).sum(axis=1)
+    alpha = 32.0 * u * (norm1 * scale + np.abs(thresholds))
+    parts = []
+    block = max(1, _RAY_BLOCK_CELLS // len(vectors))
+    for i in range(0, len(directions), block):
+        dirs = directions[i : i + block]
+        slope = dirs @ vectors.T
+        beta = (16.0 * u) * np.abs(dirs).max(axis=1)[:, None] * norm1
+        flat = np.abs(slope) <= 2.0 * beta
+        den = np.where(flat, 1.0, slope)
+        b = -offsets / den
+        w = 2.0 * (alpha + beta * np.abs(b)) / np.abs(den) + 4.0 * u * np.abs(b)
+        rise = ~flat & (slope > 0.0)  # passes below b
+        fall = ~flat & (slope < 0.0)  # passes above b
+        # A flat slot keeps its offset's sign for s below s_flat.
+        s_flat = (np.abs(offsets) - alpha) / (3.0 * beta)
+        flat_pass = flat & (s_flat > 0.0) & (offsets < 0.0)
+        flat_fail = flat & (s_flat > 0.0) & (offsets > 0.0)
+        # Per slot: certainly passes above in_lo and below in_hi, certainly
+        # fails below out_lo and above out_hi.
+        in_lo = np.where(fall, b + w, np.where(flat & ~flat_pass, np.inf, -np.inf))
+        out_lo = np.where(fall, b - w, np.where(flat_fail, s_flat, -np.inf))
+        in_hi = np.where(rise, b - w, np.where(flat_pass, s_flat, np.inf))
+        out_hi = np.where(rise, b + w, np.inf)
+        lo_out = np.maximum.reduceat(out_lo, starts[:-1], axis=1)
+        lo_in = np.maximum.reduceat(in_lo, starts[:-1], axis=1)
+        hi_in = np.minimum.reduceat(in_hi, starts[:-1], axis=1)
+        hi_out = np.minimum.reduceat(out_hi, starts[:-1], axis=1)
+        # A face that never certainly counts is undecided on all of
+        # [lo_out, hi_out]; one that never can is left out.
+        empty = lo_in >= hi_in
+        lo_in[empty] = hi_in[empty] = lo_out[empty]
+        lo_out[lo_out > hi_out] = np.inf
+        parts.append(RayTable.from_dense(np.stack([lo_out, lo_in, hi_in, hi_out])))
+    sizes = np.concatenate([np.diff(t.ptr) for t in parts])
+    return RayTable(np.concatenate([t.bounds for t in parts], axis=1), np.concatenate([[0], np.cumsum(sizes)]))
+
+
+def _ray_counts(table: RayTable, steps: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The table's count at each query ``(steps[i], rows[i])``, and whether
+    the table leaves it undecided."""
+    sizes = np.diff(table.ptr)
+    counts = np.empty(len(steps), dtype=int)
+    undecided = np.empty(len(steps), dtype=bool)
+    block = max(1, _RAY_BLOCK_CELLS // max(1, int(sizes.max(initial=0))))
+    for i in range(0, len(steps), block):
+        n = sizes[rows[i : i + block]]
+        query = np.repeat(np.arange(len(n)), n)
+        cell = np.arange(len(query)) + np.repeat(table.ptr[rows[i : i + block]] - (np.cumsum(n) - n), n)
+        lo_out, lo_in, hi_in, hi_out = table.bounds[:, cell]
+        s = steps[i : i + block][query]
+        inside = np.bincount(query[(lo_in < s) & (s < hi_in)], minlength=len(n))
+        within = np.bincount(query[(lo_out <= s) & (s <= hi_out)], minlength=len(n))
+        counts[i : i + block] = inside
+        undecided[i : i + block] = within > inside
+    return counts, undecided
+
+
+def _grid_counts(table: RayTable, first: int, stop: int, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The table's counts at every step of a sorted ``grid`` for rows
+    ``first:stop``, (rows, steps), and where the table leaves them undecided.
+
+    Each interval is located in the grid with ``searchsorted``; a difference
+    array over grid indices, summed with ``cumsum``, counts them."""
+    n_rows, n = stop - first, len(grid)
+    ptr = table.ptr[first : stop + 1]
+    lo_out, lo_in, hi_in, hi_out = table.bounds[:, ptr[0] : ptr[-1]]
+    base = np.repeat(np.arange(n_rows) * (n + 1), np.diff(ptr))
+    size = n_rows * (n + 1)
+
+    def tally(start: np.ndarray, end: np.ndarray) -> np.ndarray:
+        diff = np.bincount(base + start, minlength=size) - np.bincount(base + end, minlength=size)
+        return diff.reshape(n_rows, n + 1).cumsum(axis=1)[:, :n]
+
+    start = np.searchsorted(grid, lo_in, side="right")
+    inside = tally(start, np.maximum(start, np.searchsorted(grid, hi_in, side="left")))
+    within = tally(np.searchsorted(grid, lo_out, side="left"), np.searchsorted(grid, hi_out, side="right"))
+    return inside, within > inside
 
 
 def first_exit_distances(
@@ -54,6 +198,7 @@ def first_exit_distances(
     target_count: int,
     s_max: float,
     tol: float,
+    table: Optional[RayTable] = None,
 ) -> np.ndarray:
     """Per direction, distance from ``origin`` to the first point where a count changes.
 
@@ -65,22 +210,39 @@ def first_exit_distances(
     crossing so thin transition slivers between coarse samples are not skipped.
     Directions with no observed change return ``s_max``.
 
-    The verification grid is evaluated a chunk of steps at a time, for every
-    row at once, in calls of at most ``_EXIT_BATCH_POINTS`` points (a single
-    step may exceed it when there are more rows).  Each row's first bad step
-    in a chunk sets its bracket, so the brackets equal those of a walk that
-    asks for one step at a time; only the points a row would have stopped
-    before, later in the same chunk, are extra.
+    ``table`` is the count's table from :func:`ray_intervals`, one row per
+    direction.  The scan and the bisection read each query's count from it,
+    and the verification sweep, whose grid every row shares, reads all of its
+    counts at once (see ``_grid_counts``); a row's first bad step is then one
+    ``argmax``.  Only a query that the table leaves undecided goes to
+    ``count_batch``, which stays the fallback: the sweep asks it for a row's
+    undecided steps below that row's first certainly bad one.  Without a
+    ``table`` nothing is certified and every count comes from
+    ``count_batch``.  Either way the brackets, and so the distances, equal
+    those of a walk that asks ``count_batch`` for one step at a time; a
+    fallback query is formed exactly as that walk forms it, and the calls
+    hold at most ``_EXIT_BATCH_POINTS`` points.
     """
     directions = np.asarray(directions, dtype=float)
     m = directions.shape[0]
+    if table is None:  # one face per row, undecided everywhere
+        table = RayTable(np.repeat([[-np.inf], [-np.inf], [-np.inf], [np.inf]], m, axis=1), np.arange(m + 1))
     lo = np.zeros(m)
     hi = np.full(m, s_max)
     found = np.zeros(m, dtype=bool)
 
+    def scalar(steps: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        counts = np.empty(len(steps), dtype=int)
+        for i in range(0, len(steps), _EXIT_BATCH_POINTS):
+            part = slice(i, i + _EXIT_BATCH_POINTS)
+            counts[part] = count_batch(origin[None, :] + steps[part, None] * directions[rows[part]])
+        return counts
+
     def counts_at(steps: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        pts = origin[None, :] + steps[:, None] * directions[rows]
-        return count_batch(pts)
+        counts, undecided = _ray_counts(table, steps, rows)
+        if undecided.any():
+            counts[undecided] = scalar(steps[undecided], rows[undecided])
+        return counts
 
     def scan(rows: np.ndarray, upper: np.ndarray, n_steps: int) -> None:
         # March each row outward; record the first bracketing cell with a change.
@@ -114,34 +276,38 @@ def first_exit_distances(
 
     bisect(all_rows[found])
 
+    def first_bad(grid: np.ndarray) -> np.ndarray:
+        # Per row, the first grid step below its ``hi`` where the count
+        # differs, or -1: the step a one-step-at-a-time walk stops at.
+        n = len(grid)
+        first = np.full(m, -1)
+        block = max(1, _RAY_BLOCK_CELLS // (n + 1))
+        for i in range(0, m, block):
+            rows = all_rows[i : i + block]
+            counts, undecided = _grid_counts(table, i, i + len(rows), grid)
+            live = grid < hi[rows, None]
+            bad = live & ~undecided & (counts != target_count)
+            stop = np.where(bad.any(axis=1), bad.argmax(axis=1), n)
+            ask_r, ask_k = np.nonzero(live & undecided & (np.arange(n) < stop[:, None]))
+            bad[ask_r, ask_k] = scalar(grid[ask_k], rows[ask_r]) != target_count
+            first[rows] = np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
+        return first
+
     # Verification sweep: look for earlier crossings below the current best.
-    # A row is live on a prefix of the grid (steps below its ``hi``, up to
-    # its first bad step), so its first bad step in a chunk is the first
-    # bad step a one-step-at-a-time walk would find.
     for _ in range(3):
         best = float(hi.min()) if found.any() else s_max
         if best <= tol:
             break
         grid = np.linspace(0.0, best, _EXIT_VERIFY_STEPS + 1)[1:-1]
-        earlier = np.zeros(m, dtype=bool)
-        j = 0
-        while j < len(grid):
-            n_live = np.count_nonzero(~earlier & (hi > grid[j]))
-            if n_live == 0:
-                break
-            part = grid[j : j + max(1, _EXIT_BATCH_POINTS // n_live)]
-            rows, steps = np.nonzero((part < hi[:, None]) & ~earlier[:, None])
-            bad = counts_at(part[steps], rows) != target_count
-            sel, first = np.unique(rows[bad], return_index=True)
-            k = j + steps[bad][first]
-            lo[sel] = np.where(k > 0, grid[k - 1], 0.0)
-            hi[sel] = grid[k]
-            found[sel] = True
-            earlier[sel] = True
-            j += len(part)
+        k = first_bad(grid)
+        earlier = k >= 0
         if not earlier.any():
             break
-        bisect(all_rows[earlier])
+        sel, k = np.nonzero(earlier)[0], k[earlier]
+        lo[sel] = np.where(k > 0, grid[k - 1], 0.0)
+        hi[sel] = grid[k]
+        found[sel] = True
+        bisect(sel)
 
     out = np.where(found, hi, s_max)
     return out

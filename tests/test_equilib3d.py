@@ -100,6 +100,8 @@ class TestClassify:
             classify3(c, (1.0, 1.0, 1.0))
         with pytest.raises(ReferenceOutside):
             classify3(c, (0.0, 0.0, 0.5))  # on/beyond the top face plane
+        with pytest.raises(ReferenceOutside, match="^reference point must be strictly interior$"):
+            rho_in_exact_3d(c, (1.0, 1.0, 1.0))
 
     def test_degenerate_flagged_not_resolved(self):
         # Put the reference exactly on a wall: inward from an edge midpoint,
@@ -373,6 +375,11 @@ class TestInternalRobustness:
     def test_sampled_direction_validation(self):
         with pytest.raises(ValueError):
             rho_in_sampled_3d(platonic("cube"), (0, 0, 0), directions=64)
+
+    @pytest.mark.parametrize("tol_step", [0.0, -1e-6, math.nan, math.inf, -math.inf])
+    def test_sampled_tol_step_validation(self, tol_step):
+        with pytest.raises(ValueError, match="^tol_step must be a positive finite number$"):
+            rho_in_sampled_3d(platonic("cube"), (0, 0, 0), tol_step=tol_step)
 
 
 class TestBoxPredicates:

@@ -165,6 +165,13 @@ class TestInternalSampled:
         with pytest.raises(ValueError, match="^directions must be positive$"):
             rho_in_sampled(unit_square(), (0.5, 0.5), directions=directions)
 
+    @pytest.mark.parametrize("tol_step", [0.0, -1e-6, math.nan, math.inf, -math.inf])
+    def test_tol_step_must_be_positive_and_finite(self, tol_step):
+        # NaN used to skip the bisection (0.12507 for 0.125), zero or a
+        # negative value to run 200 bisection steps per direction.
+        with pytest.raises(ValueError, match="^tol_step must be a positive finite number$"):
+            rho_in_sampled(unit_square(), (0.5, 0.5), tol_step=tol_step)
+
     def test_one_direction_is_enough(self):
         rep = rho_in_sampled(unit_square(), (0.5, 0.5), directions=1)
         assert rep.details["directions"] == 1
