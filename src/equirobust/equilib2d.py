@@ -70,12 +70,13 @@ class EquilibriumSet2:
 def stable_points(P: ConvexPolygon2, p: Sequence[float]) -> list[EquilibriumPoint2]:
     """Perpendicular feet of ``p`` on edges, in boundary order.
 
-    Raises ``ReferenceOutside`` unless ``p`` is strictly inside beyond tolerance.
+    Raises ``ReferenceOutside`` unless ``p`` is finite and strictly inside
+    beyond tolerance.
     """
     eps = P.eps
-    if P.interior_margin(p) <= eps:
-        raise ReferenceOutside("reference point must be strictly interior to the polygon")
     px, py = float(p[0]), float(p[1])
+    if not (math.isfinite(px) and math.isfinite(py)) or P.interior_margin(p) <= eps:
+        raise ReferenceOutside("reference point must be strictly interior to the polygon")
     out: list[EquilibriumPoint2] = []
     pts = P.vertices
     n = len(pts)

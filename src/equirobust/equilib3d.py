@@ -114,8 +114,11 @@ class EquilibriumSet3:
 
 def _require_interior(P: ConvexPolyhedron3, p: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """``p`` as an array, and its distances to the face planes (positive
-    inside); raises ``ReferenceOutside`` unless it is strictly interior."""
+    inside); raises ``ReferenceOutside`` unless it is finite and strictly
+    interior."""
     q = np.asarray(p, dtype=float)
+    if not np.isfinite(q).all():
+        raise ReferenceOutside("reference point must be strictly interior")
     gaps = P.plane_offsets - P.plane_normals @ q
     if float(np.min(gaps)) <= P.eps:  # the interior margin
         raise ReferenceOutside("reference point must be strictly interior")
@@ -392,8 +395,10 @@ def ellipsoid_class(a: float, b: float, c: float) -> EquilibriumClass:
     saddles (middle) and two unstable points (long axis): class {2, 2}.
     """
     axes = sorted((float(a), float(b), float(c)))
-    if axes[0] <= 0.0:
+    if any(x <= 0.0 for x in axes):
         raise ValueError("semi-axes must be positive")
+    if not all(map(math.isfinite, axes)):
+        raise ValueError("semi-axes must be finite")
     span = axes[2]
     if axes[1] - axes[0] <= 1e-12 * span or axes[2] - axes[1] <= 1e-12 * span:
         raise DegenerateInput("repeated semi-axes: equilibria form curves, not isolated points")

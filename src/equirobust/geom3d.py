@@ -326,28 +326,20 @@ def hull3(points: Iterable[Sequence[float]]) -> ConvexPolyhedron3:
             tri = tri[[0, 2, 1]]
         simplices.append(tuple(int(i) for i in tri))
 
-    # Union-find merge of near-parallel adjacent facets.
-    parent = list(range(len(simplices)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    # Merge near-parallel adjacent facets.
+    pairs = []
     for k, nbrs in enumerate(hull.neighbors):
         for j in nbrs:
             if j < 0 or j <= k:
                 continue
             cosang = float(np.clip(normals[k] @ normals[j], -1.0, 1.0))
             if math.acos(cosang) < 1e-7 and abs(offsets[k] - offsets[j]) <= max(eps, 1e-12):
-                a, b = find(k), find(int(j))
-                if a != b:
-                    parent[a] = b
+                pairs.append((k, int(j)))
+    root = _cluster_roots(len(simplices), pairs)
 
     groups: dict = {}
     for k in range(len(simplices)):
-        groups.setdefault(find(k), []).append(k)
+        groups.setdefault(int(root[k]), []).append(k)
 
     faces = []
     for members in groups.values():
@@ -546,14 +538,11 @@ def _rim_order(pts: np.ndarray, n: np.ndarray) -> Optional[np.ndarray]:
     return np.argsort(np.arctan2(spread @ _cross3(n, ref), spread @ ref), kind="stable")
 
 
-def _merge_points(
-    flat: np.ndarray, sizes: np.ndarray, lo: np.ndarray, hi: np.ndarray, npts: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Face cycles (``flat`` runs of ``sizes``) with each close pair (lo[k], hi[k])
-    merged into the lowest index of its cluster; a cycle drops repeats of its
-    first point, then consecutive repeats, and vanishes below 3 points."""
-    root = np.arange(npts)
-    for a, b in zip(lo.tolist(), hi.tolist()):
+def _cluster_roots(n: int, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
+    """Per index of ``range(n)``, the lowest index of its cluster, where each
+    pair ``(a, b)`` puts a and b in one cluster."""
+    root = np.arange(n)
+    for a, b in pairs:
         while root[a] != a:
             a = root[a]
         while root[b] != b:
@@ -561,8 +550,16 @@ def _merge_points(
         root[max(a, b)] = min(a, b)
     while (root[root] != root).any():
         root = root[root]
+    return root
 
-    r = root[flat]
+
+def _merge_points(
+    flat: np.ndarray, sizes: np.ndarray, lo: np.ndarray, hi: np.ndarray, npts: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Face cycles (``flat`` runs of ``sizes``) with each close pair (lo[k], hi[k])
+    merged into the lowest index of its cluster; a cycle drops repeats of its
+    first point, then consecutive repeats, and vanishes below 3 points."""
+    r = _cluster_roots(npts, zip(lo.tolist(), hi.tolist()))[flat]
     face = np.repeat(np.arange(len(sizes)), sizes)
     first = np.cumsum(sizes) - sizes
     keep = r != r[first][face]
@@ -609,8 +606,10 @@ def platonic(name: str, edge: Optional[float] = None) -> ConvexPolyhedron3:
     if edge is None:
         factor = 1.0 / math.sqrt(surface_area(base))
     else:
-        if not edge > 0.0:
+        if edge <= 0.0:
             raise ValueError("edge length must be positive")
+        if not math.isfinite(edge):
+            raise ValueError("edge length must be finite")
         a, b = base.edges[0]
         e0 = math.dist(base.vertices[a], base.vertices[b])
         factor = float(edge) / e0

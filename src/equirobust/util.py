@@ -41,8 +41,8 @@ def rotation_from_seed(seed: int) -> np.ndarray:
     )
 
 
-# Steps of the coarse outward scan and of the verification sweep below, and
-# the most query points ``count_batch`` is asked for in one call.
+# Steps of the coarse grid and of each verification grid of the first-exit
+# walk below, and the most query points ``count_batch`` is asked for in one call.
 _EXIT_COARSE_STEPS = 128
 _EXIT_VERIFY_STEPS = 512
 _EXIT_BATCH_POINTS = 4096
@@ -204,18 +204,19 @@ def first_exit_distances(
 
     ``count_batch(points)`` maps an (m, k) array of query points to an (m,)
     integer array.  For each row of ``directions`` the walk starts at
-    ``origin`` (where the count must equal ``target_count``), scans a coarse
+    ``origin`` (where the count must equal ``target_count``), reads a coarse
     grid out to ``s_max`` for the first step where the count differs, bisects
-    that bracket down to ``tol``, and then re-examines a denser grid below the
-    crossing so thin transition slivers between coarse samples are not skipped.
-    Directions with no observed change return ``s_max``.
+    that bracket down to ``tol``, and then reads up to three denser
+    verification grids below the best crossing so far, so thin transition
+    slivers between coarse samples are not skipped; each earlier step found
+    is bisected in turn.  Directions with no observed change return ``s_max``.
 
     ``table`` is the count's table from :func:`ray_intervals`, one row per
-    direction.  The scan and the bisection read each query's count from it,
-    and the verification sweep, whose grid every row shares, reads all of its
-    counts at once (see ``_grid_counts``); a row's first bad step is then one
-    ``argmax``.  Only a query that the table leaves undecided goes to
-    ``count_batch``, which stays the fallback: the sweep asks it for a row's
+    direction.  Every grid, coarse or verifying, is shared by all rows, so
+    all of its counts are read at once (see ``_grid_counts``) and a row's
+    first bad step is one ``argmax``; the bisection reads each query's count
+    from the table.  Only a query that the table leaves undecided goes to
+    ``count_batch``, which stays the fallback: a grid asks it for a row's
     undecided steps below that row's first certainly bad one.  Without a
     ``table`` nothing is certified and every count comes from
     ``count_batch``.  Either way the brackets, and so the distances, equal
@@ -227,9 +228,9 @@ def first_exit_distances(
     m = directions.shape[0]
     if table is None:  # one face per row, undecided everywhere
         table = RayTable(np.repeat([[-np.inf], [-np.inf], [-np.inf], [np.inf]], m, axis=1), np.arange(m + 1))
+    all_rows = np.arange(m)
     lo = np.zeros(m)
-    hi = np.full(m, s_max)
-    found = np.zeros(m, dtype=bool)
+    hi = np.full(m, np.inf)  # finite once a row's crossing is bracketed
 
     def scalar(steps: np.ndarray, rows: np.ndarray) -> np.ndarray:
         counts = np.empty(len(steps), dtype=int)
@@ -237,44 +238,6 @@ def first_exit_distances(
             part = slice(i, i + _EXIT_BATCH_POINTS)
             counts[part] = count_batch(origin[None, :] + steps[part, None] * directions[rows[part]])
         return counts
-
-    def counts_at(steps: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        counts, undecided = _ray_counts(table, steps, rows)
-        if undecided.any():
-            counts[undecided] = scalar(steps[undecided], rows[undecided])
-        return counts
-
-    def scan(rows: np.ndarray, upper: np.ndarray, n_steps: int) -> None:
-        # March each row outward; record the first bracketing cell with a change.
-        grid = np.linspace(0.0, 1.0, n_steps + 1)[1:]
-        prev = np.zeros(len(rows))
-        for g in grid:
-            steps = g * upper
-            bad = counts_at(steps, rows) != target_count
-            newly = bad & ~found[rows]
-            if newly.any():
-                sel = rows[newly]
-                lo[sel] = prev[newly] * upper[newly]
-                hi[sel] = steps[newly]
-                found[sel] = True
-            prev = steps / upper
-            if found[rows].all():
-                break
-
-    all_rows = np.arange(m)
-    scan(all_rows, np.full(m, s_max), _EXIT_COARSE_STEPS)
-
-    def bisect(rows: np.ndarray) -> None:
-        for _ in range(200):
-            active = rows[(hi[rows] - lo[rows]) > tol]
-            if len(active) == 0:
-                break
-            mid = 0.5 * (lo[active] + hi[active])
-            bad = counts_at(mid, active) != target_count
-            hi[active[bad]] = mid[bad]
-            lo[active[~bad]] = mid[~bad]
-
-    bisect(all_rows[found])
 
     def first_bad(grid: np.ndarray) -> np.ndarray:
         # Per row, the first grid step below its ``hi`` where the count
@@ -293,21 +256,35 @@ def first_exit_distances(
             first[rows] = np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
         return first
 
-    # Verification sweep: look for earlier crossings below the current best.
-    for _ in range(3):
-        best = float(hi.min()) if found.any() else s_max
-        if best <= tol:
-            break
-        grid = np.linspace(0.0, best, _EXIT_VERIFY_STEPS + 1)[1:-1]
-        k = first_bad(grid)
-        earlier = k >= 0
-        if not earlier.any():
-            break
-        sel, k = np.nonzero(earlier)[0], k[earlier]
-        lo[sel] = np.where(k > 0, grid[k - 1], 0.0)
-        hi[sel] = grid[k]
-        found[sel] = True
-        bisect(sel)
+    def bisect(rows: np.ndarray) -> None:
+        for _ in range(200):
+            active = rows[(hi[rows] - lo[rows]) > tol]
+            if len(active) == 0:
+                break
+            mid = 0.5 * (lo[active] + hi[active])
+            counts, undecided = _ray_counts(table, mid, active)
+            counts[undecided] = scalar(mid[undecided], active[undecided])
+            bad = counts != target_count
+            hi[active[bad]] = mid[bad]
+            lo[active[~bad]] = mid[~bad]
 
-    out = np.where(found, hi, s_max)
-    return out
+    # The coarse grid out to s_max, then up to three verification grids below
+    # the best crossing so far.  The stepwise walk forms a coarse bracket's
+    # lower end as (step / s_max) * s_max, one ulp off the step at times.
+    grid = np.linspace(0.0, 1.0, _EXIT_COARSE_STEPS + 1)[1:] * s_max
+    below = grid / s_max * s_max
+    for verify in range(4):
+        if verify:
+            best = float(hi.min(initial=s_max))
+            if best <= tol:
+                break
+            grid = below = np.linspace(0.0, best, _EXIT_VERIFY_STEPS + 1)[1:-1]
+        k = first_bad(grid)
+        sel = np.nonzero(k >= 0)[0]
+        if verify and len(sel) == 0:
+            break
+        k = k[sel]
+        lo[sel] = np.where(k > 0, below[k - 1], 0.0)
+        hi[sel] = grid[k]
+        bisect(sel)
+    return np.minimum(hi, s_max)

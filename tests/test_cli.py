@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -66,6 +67,13 @@ class TestAnalyze:
         code, _, err = run("analyze", "--builtin", "square", "--ref", "5,5")
         assert code == 3
         assert json.loads(err)["status"] == "validation-error"
+
+    def test_non_finite_reference_is_validation_error(self, run):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run("analyze", "--builtin", "cube", "--ref", "nan,0,0")
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"status": "validation-error", "error": "reference point must be strictly interior"}
 
     def test_unknown_builtin(self, run):
         code, _, err = run("analyze", "--builtin", "klein-bottle")

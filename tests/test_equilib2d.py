@@ -57,6 +57,9 @@ class TestStablePoints:
         p = unit_square()
         with pytest.raises(ReferenceOutside):
             stable_points(p, (2.0, 0.5))
+        for q in [(math.nan, 0.5), (0.5, math.inf), (-math.inf, 0.5)]:
+            with pytest.raises(ReferenceOutside):
+                stable_points(p, q)
 
 
 class TestUnstablePoints:

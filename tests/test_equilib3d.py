@@ -102,6 +102,11 @@ class TestClassify:
             classify3(c, (0.0, 0.0, 0.5))  # on/beyond the top face plane
         with pytest.raises(ReferenceOutside, match="^reference point must be strictly interior$"):
             rho_in_exact_3d(c, (1.0, 1.0, 1.0))
+        for q in [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf)]:
+            with pytest.raises(ReferenceOutside):
+                classify3(c, q)
+            with pytest.raises(ReferenceOutside):
+                rho_in_sampled_3d(c, q, directions=128)
 
     def test_degenerate_flagged_not_resolved(self):
         # Put the reference exactly on a wall: inward from an edge midpoint,
@@ -444,6 +449,9 @@ class TestEllipsoidClass:
     def test_invalid_axes(self):
         with pytest.raises(ValueError):
             ellipsoid_class(0.0, 1.0, 2.0)
+        for axes in [(math.nan, 1.0, 2.0), (math.inf, 1.0, 2.0), (1.0, 2.0, math.nan)]:
+            with pytest.raises(ValueError, match="^semi-axes must be finite$"):
+                ellipsoid_class(*axes)
 
     def test_class_validation(self):
         with pytest.raises(ValueError):

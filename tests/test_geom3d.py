@@ -416,6 +416,11 @@ class TestPlatonic:
         assert min(lengths) == pytest.approx(2.0, abs=1e-12)
         assert max(lengths) == pytest.approx(2.0, abs=1e-12)
 
+    def test_edge_length_must_be_positive_and_finite(self):
+        for edge in [0.0, -1.0, math.nan, math.inf]:
+            with pytest.raises(ValueError, match="^edge length must be (positive|finite)$"):
+                platonic("cube", edge=edge)
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             platonic("teapot")

@@ -268,8 +268,10 @@ class TestRayTables:
                 rows = np.repeat(np.arange(len(dirs)), len(steps))
                 decided = _table_agrees(lambda pts: count(P, pts), table, q, dirs, np.tile(steps, len(dirs)), rows)
                 target = int(count(P, q[None, :])[0])
-                got = first_exit_distances(lambda pts: count(P, pts), q, dirs, target, 2.0, 1e-9, table)
+                batch, sizes = _recording(lambda pts: count(P, pts))
+                got = first_exit_distances(batch, q, dirs, target, 2.0, 1e-9, table)
             assert decided == len(rows)
+            assert sizes == []  # a fully decided walk never falls back
             assert np.array_equal(got, first_exit_distances(lambda pts: count(P, pts), q, dirs, target, 2.0, 1e-9))
 
     def test_3d_oracle_allocates_little(self):
