@@ -227,26 +227,32 @@ def _cmd_robust(args) -> int:
         raise CLIError("robustness measures need a polygon or polyhedron; "
                        "use 'analyze' for the analytic ellipsoid class")
     kind = args.kind
-    if kind in ("partial-s", "partial-u", "partial-any"):
-        if dim != "3d":
-            raise CLIError(f"kind {kind!r} needs a polyhedron")
-        if args.seed is None:
-            raise CLIError(f"kind {kind!r} is a seeded search: pass --seed")
+    partial = kind.startswith("partial-")
+    needs = "3d" if partial else "2d" if kind in ("full-line", "ex") else dim
+    if dim != needs:
+        raise CLIError(f"kind {kind!r} needs a {'polyhedron' if needs == '3d' else 'polygon'}")
+    if partial and args.seed is None:
+        raise CLIError(f"kind {kind!r} is a seeded search: pass --seed")
+    # A given option that the kind does not read is refused, not ignored.
+    search = {"grid_theta", "grid_offset", "tol"}
+    reads = {"in": {"ref", "samples" if args.samples is not None else "rays_only"}, "ex": {"ref"}, "full-line": search}
+    given = {"ref": args.ref != "centroid", "rays_only": args.rays_only}
+    given |= {name: getattr(args, name) is not None for name in ("samples", "seed", "grid_theta", "grid_offset", "tol")}
+    for name in given:
+        if given[name] and name not in reads.get(kind, search | {"seed"}):
+            raise CLIError(f"--{name.replace('_', '-')} is not used by kind {kind!r}")
+    if partial:
         target = {"partial-s": "reduce_S", "partial-u": "reduce_U", "partial-any": "reduce_any"}[kind]
         grid = (_given(args.grid_theta, 32), _given(args.grid_offset, 16))
         report = plane_truncation_search(
             shape, target, grid=grid, refine_tol=_given(args.tol, 1e-4), seed=args.seed
         )
     elif kind == "full-line":
-        if dim != "2d":
-            raise CLIError("kind 'full-line' needs a polygon")
         report = full_robustness_line_bound(
             shape, grid_theta=_given(args.grid_theta, 180), grid_offset=_given(args.grid_offset, 48),
             refine_tol=_given(args.tol, 1e-6),
         )
     elif kind == "ex":
-        if dim != "2d":
-            raise CLIError("kind 'ex' needs a polygon")
         report = rho_ex_exact(shape, _parse_ref(args.ref, shape, dim))
     else:  # kind == "in"
         ref = _parse_ref(args.ref, shape, dim)

@@ -20,7 +20,7 @@ direction-sampled first-exit search provides an independent check.
 relative volume a single plane cut must remove so that the kept piece, judged
 at its own centroid, has fewer stable points (or fewer unstable points, or
 either) than the original.  Its cuts are ``m·z <= e`` with a signed normal
-``m = side·n``, and one dict per signed normal keeps each cut's evaluation,
+``m = side·n``, and one cache from (family, e) keeps each cut's evaluation,
 so no cut is evaluated twice.  ``_CutEvaluator3`` evaluates a batch of cuts
 at once, bit for bit as the clip, ``volume`` and the piece's counts would;
 the search makes one batch of every grid cut, then one per lockstep
@@ -49,7 +49,9 @@ from .geom3d import (
     _VOL_REL_FLOOR,
     _cross3,
     _fan_terms,
+    _merge_distance,
     _rim_order,
+    _rowdot,
     centroid3,
     clip_halfspace3,
     platonic,
@@ -167,21 +169,20 @@ def classify3(P: ConvexPolyhedron3, p: Sequence[float]) -> EquilibriumSet3:
     for k in np.nonzero(worst <= eps)[0]:
         points.append(EquilibriumPoint3("stable", tuple(feet[k]), int(k), bool(worst[k] >= -eps)))
 
-    nu = P.edge_frames[1]
-    for (i, j), (s1, s2) in zip(P.edges, P.edge_slots):
-        a, b = v[i], v[j]
-        L = float(np.linalg.norm(b - a))
-        u = (b - a) / L
-        t = float((q - a) @ u)
-        if t < -eps or t > L + eps:
-            continue
-        foot = a + t * u
-        w = foot - q
-        h = min(float(nu[s1] @ w), float(nu[s2] @ w))
-        if h < -eps:
-            continue
-        flag = h <= eps or t <= eps or t >= L - eps
-        points.append(EquilibriumPoint3("saddle", tuple(foot), (i, j), flag))
+    # All edges at once; ``_rowdot`` rounds each row as a per-edge ``@`` would.
+    nu = P.edge_frames[1][P.edge_slots]
+    ends = P.edge_pairing[0]
+    a = v[ends[:, 0]]
+    d = v[ends[:, 1]] - a
+    L = np.sqrt(_rowdot(d, d))
+    u = d / L[:, None]
+    t = _rowdot(q - a, u)
+    feet = a + t[:, None] * u
+    w = feet - q
+    h = np.minimum(_rowdot(nu[:, 0], w), _rowdot(nu[:, 1], w))
+    flags = (h <= eps) | (t <= eps) | (t >= L - eps)
+    for k in np.flatnonzero(~((t < -eps) | (t > L + eps) | (h < -eps))).tolist():
+        points.append(EquilibriumPoint3("saddle", tuple(feet[k]), P.edges[k], bool(flags[k])))
 
     vworst = _vertex_worst(P, q)
     for i in np.nonzero(vworst >= -eps)[0]:
@@ -536,7 +537,7 @@ class _CutEvaluator3:
         self.reach = float(np.sqrt((v * v).sum(1)).max())
         # The clip's merge distance, raised far above the rounding of a signed
         # distance or a crossing point.
-        self.close = max(P.eps, 1e-13 * P.scale) + 2.0**-40 * (self.reach + P.scale)
+        self.close = _merge_distance(P) + 2.0**-40 * (self.reach + P.scale)
         # Kept vertices never merge when no two parent vertices are close.
         self.batched = math.isfinite(self.reach) and not len(cKDTree(v).query_pairs(self.close, output_type="ndarray"))
         if not self.batched:
@@ -819,19 +820,16 @@ def plane_truncation_search(
     ``e = side·d``; the ``-n`` family's grid is ``-offsets[::-1]`` and its
     support end ``-lo``.  The kept piece grows with ``e``, so the last
     reducing grid cut is the cheapest and its bracket runs toward the support
-    end.  Each signed normal keeps a dict from ``e`` to the cut's evaluation,
-    which the grid fills and the bracket ends and the bisections read; the
-    support end removes nothing and is never evaluated.  The witness reports
-    ``n``, the unsigned ``offset = side·e`` and the side.
-
-    All grid cuts are one evaluator batch; then every live bracket takes one
-    bisection step per batch, in lockstep, and the brackets are offered to
-    the incumbent in (normal, side, predicate) order with a strict ``<``.
-    Bisecting one bracket at a time could stop a bracket once its non-reducing
-    end removed at least the incumbent's volume; lockstep does not, and gives
-    the same witness: the volume a cut removes falls as ``e`` grows, so such
-    a bracket ends with ``rel_a >= rel_b >=`` that incumbent and never
-    replaces it.
+    end, which removes nothing and is never evaluated.  All grid cuts are one
+    evaluator batch; then every live bracket takes one bisection step per
+    batch, in lockstep.  One cache from (family, e) to the cut's evaluation
+    holds the grid and every midpoint, so no cut is evaluated twice.  Each
+    predicate's witness is its cheapest bracket, the first in (normal, side)
+    order among equals; it reports ``n``, the unsigned ``offset = side·e``
+    and the side.  The reference search in the tests stops a bracket once its
+    non-reducing end removes at least the incumbent's volume, and gives the
+    same witness: the volume removed falls as ``e`` grows, so such a bracket
+    ends with ``rel_a >= rel_b >=`` that incumbent.
     """
     kinds = {"reduce_S": ("partial_s", "S"), "reduce_U": ("partial_u", "U"), "reduce_any": ("partial_any", "SU")}
     if target not in kinds:
@@ -849,74 +847,65 @@ def plane_truncation_search(
     normals = fibonacci_sphere(n_normals) @ rotation_from_seed(seed).T
     evaluate = _CutEvaluator3(P)
 
-    # Family 2j + 0 is normal j's side +1, family 2j + 1 its side -1.
-    families = []
+    # Family 2j is normal j's side +1, family 2j + 1 its side -1.
+    M = np.stack([normals, -normals], 1).reshape(-1, 3)
+    E, ends = [], []
     for n in normals:
         lo, hi = P.support_interval(n)
         offs = np.linspace(lo, hi, n_offsets + 2)[1:-1]
-        families += [(n, +1, offs.tolist(), hi), (n, -1, (-offs[::-1]).tolist(), -lo)]
-    signed = [side * n for n, side, _, _ in families]
-    seen: list[dict] = [{} for _ in families]
+        E += [offs, -offs[::-1]]
+        ends += [hi, -lo]
+    E, ends = np.array(E), np.array(ends)
+    rel, S, U = evaluate(M.repeat(n_offsets, axis=0), E.ravel())
+    # (family, e) -> (relative volume removed, S, U), S < 0 for an unusable
+    # piece.  A bisection midpoint can repeat a grid cut or a cut of an earlier step.
+    keys = zip(np.arange(len(M)).repeat(n_offsets).tolist(), E.ravel().tolist())
+    cache = dict(zip(keys, zip(rel.tolist(), S.tolist(), U.tolist())))
+    rel, S, U = (a.reshape(E.shape) for a in (rel, S, U))
+    usable = S >= 0
+    reducing = usable[:, None] & np.stack([S < S0, U < U0], 1)
 
-    def run(cuts: dict) -> None:
-        """Evaluate the (family, e) cuts into ``seen`` as (relative volume
-        removed, reduces_S, reduces_U), or None for an unusable piece."""
-        if not cuts:
-            return
-        fam, es = zip(*cuts)
-        rel, S, U = evaluate(np.array([signed[f] for f in fam]), es)
-        for f, e, r, s, u in zip(fam, es, rel.tolist(), S.tolist(), U.tolist()):
-            seen[f][e] = None if s < 0 else (r, s < S0, u < U0)
+    # One bracket per family and predicate (0 = S, 1 = U) with a reducing grid
+    # cut, in that order, from its last reducing grid cut to the next usable one.
+    fam, pred = np.nonzero(reducing.any(2))
+    i = n_offsets - 1 - np.argmax(reducing[fam, pred, ::-1], 1)
+    e_a, rel_a = E[fam, i], rel[fam, i]
+    above = usable[fam] & (E[fam] > e_a[:, None])
+    j = np.argmax(above, 1)
+    e_b = np.where(above.any(1), E[fam, j], ends[fam])
+    rel_b = np.where(above.any(1), rel[fam, j], 0.0)
 
-    run(dict.fromkeys((f, e) for f, (_, _, grid, _) in enumerate(families) for e in grid))
-
-    # One bracket [family, pred_idx, e_a, rel_a, e_b, rel_b] per family and
-    # predicate with a reducing grid cut.  The kept part grows with e, so the
-    # last reducing grid cut is the cheapest; its bracket runs to the next
-    # usable grid cut, or to the support end, which removes nothing and is
-    # never evaluated.
-    brackets = []
-    for f, (_, _, grid, end) in enumerate(families):
-        done = seen[f]
-        for pred_idx in (1, 2):
-            reducing = [e for e in grid if done[e] is not None and done[e][pred_idx]]
-            if not reducing:
-                continue
-            e_a = reducing[-1]
-            e_b = next((e for e in grid if e > e_a and done[e] is not None), end)
-            res_b = done.get(e_b)
-            brackets.append([f, pred_idx, e_a, done[e_a][0], e_b, 0.0 if res_b is None else res_b[0]])
-
-    # Bisect all brackets in lockstep, one evaluator call per step.
     for _ in range(60):
-        live = [b for b in brackets if abs(b[3] - b[5]) > refine_tol]
-        if not live:
+        live = np.flatnonzero(np.abs(rel_a - rel_b) > refine_tol)
+        if not len(live):
             break
-        mids = [0.5 * (b[2] + b[4]) for b in live]
-        run(dict.fromkeys((b[0], mid) for b, mid in zip(live, mids) if mid not in seen[b[0]]))
-        for b, mid in zip(live, mids):
-            res = seen[b[0]][mid]
-            if res is not None and res[b[1]]:
-                b[2], b[3] = mid, res[0]
-            else:
-                b[4] = mid
-                if res is not None:
-                    b[5] = res[0]
+        mid = 0.5 * (e_a[live] + e_b[live])
+        keys = list(zip(fam[live].tolist(), mid.tolist()))
+        new = list(dict.fromkeys(k for k in keys if k not in cache))
+        if new:
+            f, e = zip(*new)
+            cache.update(zip(new, zip(*(a.tolist() for a in evaluate(M[list(f)], e)))))
+        r, s, u = (np.array(c) for c in zip(*(cache[k] for k in keys)))
+        ok = s >= 0
+        red = ok & np.where(pred[live] == 0, s < S0, u < U0)
+        e_a[live[red]], rel_a[live[red]] = mid[red], r[red]
+        e_b[live[~red]] = mid[~red]
+        rel_b[live[ok & ~red]] = r[ok & ~red]
 
     best: dict[str, Optional[dict]] = {"S": None, "U": None}
-    for f, pred_idx, e_a, rel_a, _, _ in brackets:
-        n, side, _, _ = families[f]
-        pred = "SU"[pred_idx - 1]
-        if best[pred] is None or rel_a < best[pred]["relative_volume_removed"]:
-            best[pred] = {
-                "type": "plane",
-                "normal": [float(c) for c in n],
-                # A bracket (-x, x) bisects to e = +0.0, where side·e is -0.0:
-                # the unsigned offset of that cut is +0.0.
-                "offset": side * e_a + 0.0,
-                "side": side,
-                "relative_volume_removed": float(rel_a),
-            }
+    for p in np.unique(pred).tolist():
+        mine = np.flatnonzero(pred == p)
+        k = mine[np.argmin(rel_a[mine])]
+        side = 1 - 2 * int(fam[k] % 2)
+        best["SU"[p]] = {
+            "type": "plane",
+            "normal": [float(c) for c in normals[fam[k] // 2]],
+            # A bracket (-x, x) bisects to e = +0.0, where side·e is -0.0:
+            # the unsigned offset of that cut is +0.0.
+            "offset": side * float(e_a[k]) + 0.0,
+            "side": side,
+            "relative_volume_removed": float(rel_a[k]),
+        }
 
     vS, vU = (None if best[p] is None else best[p]["relative_volume_removed"] for p in "SU")
     witness = min((best[p] for p in preds if best[p] is not None), key=lambda w: w["relative_volume_removed"], default=None)

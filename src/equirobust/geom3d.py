@@ -47,6 +47,13 @@ def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (k, m) arrays, each bit for bit ``a[i] @ b[i]``
+    (numpy's vector-vector kernel, which ``np.linalg.norm`` of a vector also
+    uses; ``np.einsum`` rounds differently)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def _fan_terms(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per fan triangle (a, b, c): the cross product (b - a) x (c - a), the
     signed volume of the tetrahedron on the triangle and the origin, and that
@@ -438,6 +445,11 @@ def aabb(P: ConvexPolyhedron3) -> BoundingBox:
 # -- half-space clipping ---------------------------------------------------
 
 
+def _merge_distance(P: ConvexPolyhedron3) -> float:
+    """The distance within which the clip merges two points of a piece."""
+    return max(P.eps, 1e-13 * P.scale)
+
+
 def clip_halfspace3(
     P: ConvexPolyhedron3, normal: Sequence[float], offset: float
 ) -> Optional[ConvexPolyhedron3]:
@@ -505,7 +517,7 @@ def clip_halfspace3(
     from scipy.spatial import cKDTree
 
     used = np.bincount(flat).nonzero()[0]
-    close = cKDTree(all_pts[used]).query_pairs(max(eps, 1e-13 * P.scale), output_type="ndarray")
+    close = cKDTree(all_pts[used]).query_pairs(_merge_distance(P), output_type="ndarray")
     if len(close):
         flat, sizes = _merge_points(flat, sizes, used[close[:, 0]], used[close[:, 1]], len(all_pts))
     if len(sizes) < 4:

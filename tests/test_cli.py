@@ -157,6 +157,41 @@ class TestRobust:
         assert (code, out) == (3, "")
         assert json.loads(err) == {"status": "validation-error", "error": "directions must be positive"}
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("square", "full-line", "--ref", "garbage"), "--ref is not used by kind 'full-line'"),
+            (("cube", "partial-s", "--seed", "1", "--ref", "garbage"), "--ref is not used by kind 'partial-s'"),
+            (("square", "ex", "--samples", "5"), "--samples is not used by kind 'ex'"),
+            (("square", "ex", "--rays-only"), "--rays-only is not used by kind 'ex'"),
+            (("square", "in", "--seed", "3", "--tol", "0.5"), "--seed is not used by kind 'in'"),
+            (("square", "in", "--samples", "16", "--rays-only"), "--rays-only is not used by kind 'in'"),
+            (("cube", "in", "--grid-theta", "4"), "--grid-theta is not used by kind 'in'"),
+            (("square", "full-line", "--seed", "0"), "--seed is not used by kind 'full-line'"),
+            (("cube", "partial-any", "--seed", "1", "--samples", "0"), "--samples is not used by kind 'partial-any'"),
+            (("cube", "partial-u", "--seed", "1", "--rays-only"), "--rays-only is not used by kind 'partial-u'"),
+        ],
+    )
+    def test_option_the_kind_does_not_read_rejected(self, run, argv, message):
+        code, out, err = run("robust", "--builtin", argv[0], "--kind", *argv[1:])
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"status": "validation-error", "error": message}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("square", "in", "--ref", "centroid", "--samples", "16"),
+            ("square", "in", "--ref", "0.45,0.5", "--rays-only"),
+            ("square", "ex", "--ref", "0.45,0.5"),
+            ("square", "full-line", "--grid-theta", "6", "--grid-offset", "4", "--tol", "1e-3"),
+            ("cube", "partial-s", "--seed", "1", "--grid-theta", "2", "--grid-offset", "3", "--tol", "0.01"),
+        ],
+    )
+    def test_options_the_kind_reads_accepted(self, run, argv):
+        code, out, err = run("robust", "--builtin", argv[0], "--kind", *argv[1:])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["status"] in ("ok", "no_reduction_found")
+
 
 class TestSweep:
     def test_single_sample_two_rows(self, run):

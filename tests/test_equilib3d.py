@@ -522,12 +522,16 @@ class TestTruncationSearch:
 
     def test_validation(self):
         c = platonic("cube")
-        with pytest.raises(ValueError):
+        targets = r"^target must be one of \['reduce_S', 'reduce_U', 'reduce_any'\]$"
+        with pytest.raises(ValueError, match=targets):
             plane_truncation_search(c, "reduce_everything")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^grid needs at least 1 normal and 2 offsets$"):
             plane_truncation_search(c, grid=(0, 8))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^grid needs at least 1 normal and 2 offsets$"):
             plane_truncation_search(c, grid=(8, 1))
+        for tol in (0.0, -1e-4, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^refine_tol must be a positive finite number$"):
+                plane_truncation_search(c, refine_tol=tol)
 
     def test_capped_cylinder_reduce_u_not_found(self):
         # Any planar cut leaves rim vertices that are themselves distance

@@ -10,6 +10,7 @@ from equirobust.errors import DegenerateInput, NonConvexInput
 from equirobust.geom3d import (
     ConvexPolyhedron3,
     _cross3,
+    _rowdot,
     aabb,
     bounding_box,
     centroid3,
@@ -309,6 +310,20 @@ def test_cross3_is_np_cross_bit_for_bit():
     # Rows against one vector broadcast as np.cross broadcasts them.
     a, b = rng.standard_normal((5, 3)), rng.standard_normal(3)
     assert np.array_equal(_cross3(a, b), np.cross(a, b))
+
+
+def test_rowdot_is_the_vector_dot_bit_for_bit():
+    # classify3's saddle pass rests on this: each row is numpy's vector dot,
+    # as 1-D ``@`` and ``np.linalg.norm`` compute it, for contiguous rows and
+    # for rows strided as classify3 reads its edges' two slot frames.
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        scale = 10.0 ** rng.uniform(-150, 150, (500, 1))
+        a = rng.standard_normal((500, 3)) * scale
+        pairs = rng.standard_normal((500, 2, 3)) * scale[:, None]
+        for x, y in ((a, pairs[:, 1]), (pairs[:, 0], a), (pairs[:, 0], pairs[:, 1])):
+            assert np.array_equal(_rowdot(x, y), [u @ v for u, v in zip(x, y)])
+        assert np.array_equal(np.sqrt(_rowdot(a, a)), [np.linalg.norm(u) for u in a])
 
 
 class TestTopology:

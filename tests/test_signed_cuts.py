@@ -296,6 +296,23 @@ class TestPlaneSearch:
             assert plane_truncation_search(body, "reduce_any", grid, 1e-7, seed).status == "ok"
             assert at_end and not any(at_end)
 
+    def test_earlier_midpoints_are_not_clipped_again(self, monkeypatch):
+        # In these searches one bracket's bisection reaches a midpoint that an
+        # earlier step already evaluated for another bracket of the same
+        # family (4, 3 and 14 times); the search's cut cache answers it.
+        cuts = []
+        evaluate = equilib3d._CutEvaluator3.__call__
+
+        def recording(self, m, e):
+            cuts.extend((tuple(row), float(x)) for row, x in zip(np.asarray(m).tolist(), e))
+            return evaluate(self, m, e)
+
+        monkeypatch.setattr(equilib3d._CutEvaluator3, "__call__", recording)
+        for name, grid, seed in (("tetra", (2, 2), 2), ("octa", (4, 4), 1), ("cube", (6, 5), 1)):
+            cuts.clear()
+            assert plane_truncation_search(platonic(name), "reduce_any", grid, 1e-7, seed).status == "ok"
+            assert len(set(cuts)) == len(cuts)
+
 
 class TestRhoExExact:
     def test_random_polygons_match_reference(self):
