@@ -49,6 +49,7 @@ from .geom3d import (
     _VOL_REL_FLOOR,
     _cross3,
     _fan_terms,
+    _may_have_close_pair,
     _merge_distance,
     _rim_order,
     _rowdot,
@@ -59,7 +60,7 @@ from .geom3d import (
     volume,
 )
 from .reports import RobustnessReport, json_dumps_g17
-from .util import RayTable, fibonacci_sphere, first_exit_distances, ray_intervals, rotation_from_seed
+from .util import SPECULATE_CELLS, RayTable, fibonacci_sphere, first_exit_distances, is_count, ray_intervals, rotation_from_seed
 
 Point3 = tuple[float, float, float]
 Carrier = Union[int, tuple[int, int]]
@@ -529,8 +530,6 @@ class _CutEvaluator3:
     """
 
     def __init__(self, P: ConvexPolyhedron3):
-        from scipy.spatial import cKDTree
-
         self.P = P
         self.vol0 = volume(P)
         v = P.coords
@@ -539,7 +538,7 @@ class _CutEvaluator3:
         # distance or a crossing point.
         self.close = _merge_distance(P) + 2.0**-40 * (self.reach + P.scale)
         # Kept vertices never merge when no two parent vertices are close.
-        self.batched = math.isfinite(self.reach) and not len(cKDTree(v).query_pairs(self.close, output_type="ndarray"))
+        self.batched = math.isfinite(self.reach) and not _may_have_close_pair(v, self.close)
         if not self.batched:
             return
         # A face the cut leaves whole is the parent's face: its fan terms, its
@@ -821,9 +820,15 @@ def plane_truncation_search(
     support end ``-lo``.  The kept piece grows with ``e``, so the last
     reducing grid cut is the cheapest and its bracket runs toward the support
     end, which removes nothing and is never evaluated.  All grid cuts are one
-    evaluator batch; then every live bracket takes one bisection step per
-    batch, in lockstep.  One cache from (family, e) to the cut's evaluation
-    holds the grid and every midpoint, so no cut is evaluated twice.  Each
+    evaluator batch; then the live brackets bisect in lockstep.  One cache
+    from (family, e) to the cut's evaluation holds the grid and every
+    midpoint, so no cut is evaluated twice.  A step whose midpoints are not
+    all cached makes one evaluator call; while that call spans at most
+    ``SPECULATE_CELLS`` (cut, slot) cells, three cuts per live bracket, it also
+    takes both of the next step's midpoints, ``0.5 * (e_a + mid)`` and
+    ``0.5 * (mid + e_b)``, so the next step finds its midpoint cached
+    whichever end moved.  A call thus serves up to two steps; the 60-step cap
+    counts steps.  Each
     predicate's witness is its cheapest bracket, the first in (normal, side)
     order among equals; it reports ``n``, the unsigned ``offset = side·e``
     and the side.  The reference search in the tests stops a bracket once its
@@ -836,6 +841,9 @@ def plane_truncation_search(
         raise ValueError(f"target must be one of {sorted(kinds)}")
     kind, preds = kinds[target]
     n_normals, n_offsets = grid
+    if not (is_count(n_normals) and is_count(n_offsets)):
+        raise ValueError("grid counts must be integers")
+    n_normals, n_offsets = int(n_normals), int(n_offsets)
     if n_normals < 1 or n_offsets < 2:
         raise ValueError("grid needs at least 1 normal and 2 offsets")
     if not (math.isfinite(refine_tol) and refine_tol > 0.0):
@@ -875,16 +883,24 @@ def plane_truncation_search(
     e_b = np.where(above.any(1), E[fam, j], ends[fam])
     rel_b = np.where(above.any(1), rel[fam, j], 0.0)
 
-    for _ in range(60):
+    for step in range(60):
         live = np.flatnonzero(np.abs(rel_a - rel_b) > refine_tol)
         if not len(live):
             break
-        mid = 0.5 * (e_a[live] + e_b[live])
+        a, b = e_a[live], e_b[live]
+        mid = 0.5 * (a + b)
         keys = list(zip(fam[live].tolist(), mid.tolist()))
-        new = list(dict.fromkeys(k for k in keys if k not in cache))
+        new = [k for k in keys if k not in cache]
         if new:
+            if step < 59 and 3 * len(live) * len(P.tails) <= SPECULATE_CELLS:
+                # The next step's midpoint, whichever end this one moves; the
+                # 60th step has no next step.
+                f = fam[live].tolist()
+                new += zip(f, (0.5 * (a + mid)).tolist())
+                new += zip(f, (0.5 * (mid + b)).tolist())
+            new = [k for k in dict.fromkeys(new) if k not in cache]
             f, e = zip(*new)
-            cache.update(zip(new, zip(*(a.tolist() for a in evaluate(M[list(f)], e)))))
+            cache.update(zip(new, zip(*(x.tolist() for x in evaluate(M[list(f)], e)))))
         r, s, u = (np.array(c) for c in zip(*(cache[k] for k in keys)))
         ok = s >= 0
         red = ok & np.where(pred[live] == 0, s < S0, u < U0)

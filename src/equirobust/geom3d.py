@@ -450,6 +450,34 @@ def _merge_distance(P: ConvexPolyhedron3) -> float:
     return max(P.eps, 1e-13 * P.scale)
 
 
+#: The sweep direction of ``_may_have_close_pair``, a unit vector off every axis
+#: and diagonal, so that few vertices of a regular body share a projection.
+_SWEEP = np.array([0.6, 0.64, 0.48])
+
+
+def _may_have_close_pair(v: np.ndarray, r: float) -> bool:
+    """Whether two rows of ``v`` (finite) may lie within ``r`` of each other.
+
+    True whenever ``cKDTree(v).query_pairs(r)`` finds a pair, and perhaps for
+    a pair just beyond ``r``: the radius is widened past the rounding of any
+    distance.  A sort-and-sweep along ``_SWEEP`` measures only the pairs whose
+    projections differ by at most ``r`` and their rounding.
+    """
+    r *= 1.0 + 2.0**-30
+    x = v @ _SWEEP
+    order = np.argsort(x)
+    x, v = x[order], v[order]
+    slack = r + 2.0**-40 * float(np.abs(v).max(initial=0.0))
+    for k in range(1, len(x)):
+        near = np.flatnonzero(x[k:] - x[:-k] <= slack)
+        if not len(near):
+            return False
+        d = v[near + k] - v[near]
+        if ((d * d).sum(1) <= r * r).any():
+            return True
+    return False
+
+
 def clip_halfspace3(
     P: ConvexPolyhedron3, normal: Sequence[float], offset: float
 ) -> Optional[ConvexPolyhedron3]:

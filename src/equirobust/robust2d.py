@@ -50,7 +50,7 @@ from .geom2d import (
     dist_point_to_ray,
 )
 from .reports import RobustnessReport
-from .util import fmt_g17
+from .util import SPECULATE_CELLS, fmt_g17, is_count
 
 log = logging.getLogger(__name__)
 
@@ -510,9 +510,17 @@ def full_robustness_line_bound(
     the ``-n`` family's grid is ``-offsets[::-1]`` and its support end
     ``-lo``.  The last reducing grid cut along ``e`` is the cheapest, and its
     bracket runs one grid step toward the support end.  All grid cuts are one
-    batch; the brackets are then bisected in lockstep, one batch per step.
-    The witness reports the unsigned offset ``side·e`` and the side.
+    batch; the brackets are then bisected in lockstep.  A batch holds one
+    step's midpoints and, while it spans at most ``SPECULATE_CELLS`` cells
+    (three cuts of ``n + 3`` ring slots per live bracket), step two's midpoint
+    on either side of each where that step's stop test passes; step two reads
+    the one on the side step one kept.  A batch thus serves up to two steps,
+    and none is empty.  The witness reports the unsigned offset ``side·e``
+    and the side.
     """
+    if not (is_count(grid_theta) and is_count(grid_offset)):
+        raise ValueError("grid counts must be integers")
+    grid_theta, grid_offset = int(grid_theta), int(grid_offset)
     if grid_theta < 1 or grid_offset < 1:
         raise ValueError("grid needs at least 1 direction and 1 offset")
     if refine_tol is not None and not (math.isfinite(refine_tol) and refine_tol > 0.0):
@@ -551,11 +559,33 @@ def full_robustness_line_bound(
         mid = 0.5 * (e_red + e_ok)
         live &= (np.abs(e_ok - e_red) > refine_tol) & (mid != e_red) & (mid != e_ok)
         idx = np.flatnonzero(live)
-        kept, counts = evaluate(M[fam[idx], 0], M[fam[idx], 1], mid[idx])
+        if not len(idx):
+            break
+        k = len(idx)
+        # While the cells allow, the batch also holds step two's midpoint in
+        # (e_red, mid) and in (mid, e_ok), each where its own stop test passes.
+        lo, hi = np.stack([e_red[idx], mid[idx]]), np.stack([mid[idx], e_ok[idx]])
+        ahead = 0.5 * (lo + hi)
+        go = (np.abs(hi - lo) > refine_tol) & (ahead != lo) & (ahead != hi)
+        go &= 3 * k * (P.n + 3) <= SPECULATE_CELLS
+        rows = np.concatenate([idx, np.stack([idx, idx])[go]])
+        e = np.concatenate([mid[idx], ahead[go]])
+        kept, counts = evaluate(M[fam[rows], 0], M[fam[rows], 1], e)
         reduces = (counts >= 0) & (counts < S0)
-        e_red[idx[reduces]] = mid[idx[reduces]]
-        rel_red[idx[reduces]] = 1.0 - kept[reduces]
-        e_ok[idx[~reduces]] = mid[idx[~reduces]]
+        steps = [np.arange(k)]
+        if go.any():
+            # Step two reads the candidate on the side step one kept; a bracket
+            # without one has met its stop test.
+            at = np.full(go.shape, -1)
+            at[go] = np.arange(k, len(e))
+            nxt = at[reduces[:k].astype(int), np.arange(k)]
+            live[idx] = nxt >= 0
+            steps.append(nxt[nxt >= 0])
+        for step in steps:
+            red = reduces[step]
+            e_red[rows[step[red]]] = e[step[red]]
+            rel_red[rows[step[red]]] = 1.0 - kept[step[red]]
+            e_ok[rows[step[~red]]] = e[step[~red]]
 
     best_val = math.inf
     best_witness: Optional[dict] = None

@@ -8,6 +8,17 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 
+#: Most (cut, slot) cells a search's evaluator batch spans when it also takes
+#: the next bisection step's two candidates per live bracket: above this the
+#: extra cuts cost more than the evaluator call they save.
+SPECULATE_CELLS = 4096
+
+
+def is_count(x) -> bool:
+    """Whether ``x`` is an integer (Python or numpy), and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def fmt_g17(x: float) -> str:
     """Format a float with 17 significant digits (decimal round-trip safe)."""
     return format(float(x), ".17g")

@@ -269,6 +269,15 @@ class TestLineSearchArguments:
         with pytest.raises(ValueError):
             full_robustness_line_bound(unit_square(), *grid)
 
+    @pytest.mark.parametrize("grid", [(2.0, 3), (True, 2), (4, 3.0), (4, False), (np.float64(4), 3)])
+    def test_grid_counts_must_be_integers(self, grid):
+        with pytest.raises(ValueError, match="^grid counts must be integers$"):
+            full_robustness_line_bound(unit_square(), *grid)
+
+    def test_numpy_integer_grid_counts_are_accepted(self):
+        got = full_robustness_line_bound(unit_square(), np.int64(4), np.int32(8))
+        assert got.to_json() == full_robustness_line_bound(unit_square(), 4, 8).to_json()
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -529,6 +529,11 @@ class TestTruncationSearch:
             plane_truncation_search(c, grid=(0, 8))
         with pytest.raises(ValueError, match="^grid needs at least 1 normal and 2 offsets$"):
             plane_truncation_search(c, grid=(8, 1))
+        for grid in ((2.0, 3), (True, 2), (4, 3.0), (4, False), (np.float64(4), 3)):
+            with pytest.raises(ValueError, match="^grid counts must be integers$"):
+                plane_truncation_search(c, grid=grid)
+        got = plane_truncation_search(c, grid=(np.int64(4), np.int32(3)), seed=2)
+        assert got.to_json() == plane_truncation_search(c, grid=(4, 3), seed=2).to_json()
         for tol in (0.0, -1e-4, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="^refine_tol must be a positive finite number$"):
                 plane_truncation_search(c, refine_tol=tol)

@@ -18,3 +18,18 @@ def test_import_does_not_load_scipy():
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(equirobust.__file__))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_builtin_plane_search_does_not_load_scipy():
+    # The batched 3D evaluator tests its body for close vertex pairs without
+    # a KD-tree; this search clips no cut on the scalar path.
+    code = (
+        "import sys\n"
+        "from equirobust.equilib3d import plane_truncation_search\n"
+        "from equirobust.geom3d import generator_truncated_cylinder\n"
+        "plane_truncation_search(generator_truncated_cylinder(1, 3), 'reduce_any', (24, 10), 1e-4, 5)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(equirobust.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from equirobust import equilib3d, tol
+from equirobust import equilib3d, robust2d, tol
 from equirobust.equilib2d import equilibria
 from equirobust.equilib3d import _search_counts, classify3, plane_truncation_search
 from equirobust.errors import DegenerateConfiguration, TooFewStable
@@ -28,7 +28,7 @@ from equirobust.geom3d import (
 )
 from equirobust.reports import RobustnessReport
 from equirobust.robust2d import full_robustness_line_bound, rho_ex_exact
-from equirobust.util import fibonacci_sphere, rotation_from_seed
+from equirobust.util import SPECULATE_CELLS, fibonacci_sphere, rotation_from_seed
 
 from conftest import random_convex_polygon, random_hull3, random_interior_point
 from test_cut_evaluator import _line_bound_reference
@@ -313,6 +313,43 @@ class TestPlaneSearch:
             assert plane_truncation_search(platonic(name), "reduce_any", grid, 1e-7, seed).status == "ok"
             assert len(set(cuts)) == len(cuts)
 
+    @staticmethod
+    def _calls(monkeypatch):
+        sizes = []
+        evaluate = equilib3d._CutEvaluator3.__call__
+
+        def recording(self, m, e):
+            sizes.append(len(e))
+            return evaluate(self, m, e)
+
+        monkeypatch.setattr(equilib3d._CutEvaluator3, "__call__", recording)
+        return sizes
+
+    def test_two_steps_per_evaluator_call(self, monkeypatch):
+        # Each call that a step's midpoints need also takes both of the next
+        # step's midpoints per live bracket, so that step makes no call.
+        sizes = self._calls(monkeypatch)
+        args = (platonic("tetra"), "reduce_any", (4, 4), 1e-4, 0)
+        assert plane_truncation_search(*args).to_json() == _plane_search_reference(*args).to_json()
+        assert len(sizes) == 8  # the grid, then 13 steps in 7 calls
+
+    def test_no_speculation_above_the_cell_budget(self, monkeypatch):
+        # cylcut:1:3 has 832 slots, so a batch stays within SPECULATE_CELLS
+        # only for one live bracket; this search has more at every step, and
+        # every step makes its own call.
+        sizes = self._calls(monkeypatch)
+        body = generator_truncated_cylinder(1, 3)
+        assert 3 * 2 * len(body.tails) > SPECULATE_CELLS
+        args = (body, "reduce_any", (4, 4), 1e-4, 0)
+        assert plane_truncation_search(*args).to_json() == _plane_search_reference(*args).to_json()
+        assert len(sizes) == 13 and all(sizes)
+
+    def test_step_cap_matches_reference(self):
+        # At refine_tol 1e-300 the brackets never meet the tolerance; the
+        # 60-step cap counts steps, not evaluator calls.
+        args = (platonic("cube"), "reduce_any", (4, 4), 1e-300, 0)
+        assert plane_truncation_search(*args).to_json() == _plane_search_reference(*args).to_json()
+
 
 class TestRhoExExact:
     def test_random_polygons_match_reference(self):
@@ -355,3 +392,18 @@ class TestLineBound:
         assert rep.to_json() == _line_bound_reference(P, 1, 10, refine_tol).to_json()
         assert rep.witness["side"] == -1
         assert math.copysign(1.0, rep.witness["offset"]) == 1.0 and rep.witness["offset"] == 0.0
+
+    def test_two_steps_per_evaluator_call(self, monkeypatch):
+        # Each call holds one step's midpoints and, per bracket, step two's
+        # candidate on either side where its stop test passes; no call is empty.
+        sizes = []
+        evaluate = robust2d._CutEvaluator.__call__
+
+        def recording(self, nx, ny, d):
+            sizes.append(len(d))
+            return evaluate(self, nx, ny, d)
+
+        monkeypatch.setattr(robust2d._CutEvaluator, "__call__", recording)
+        P = regular_ngon(8)
+        assert full_robustness_line_bound(P, 12, 48, 1e-6).to_json() == _line_bound_reference(P, 12, 48, 1e-6).to_json()
+        assert len(sizes) == 8 and all(sizes)
