@@ -51,7 +51,6 @@ from .geom3d import (
     _fan_terms,
     _may_have_close_pair,
     _merge_distance,
-    _rim_order,
     _rowdot,
     centroid3,
     clip_halfspace3,
@@ -522,8 +521,8 @@ class _CutEvaluator3:
     row of cuts with equal triangle counts).  The counts are read at an
     approximate centroid and kept only when every decision clears its
     threshold by a rounding bound; a face of tiny area widens that bound.
-    A rim whose angle order is not clear by its rounding bound is ordered by
-    the clip's own ``_rim_order``.  A cut with a vertex near the plane, a
+    The rim's angles are computed with the clip's own arithmetic, so its
+    order is the clip's order.  A cut with a vertex near the plane, a
     close pair, a topology other than the plain cut or an uncertain count
     decision goes through the scalar path, which stays the fallback and the
     test oracle.
@@ -650,34 +649,23 @@ class _CutEvaluator3:
         pid = xid[ec, slot_edge[es]]
         pts = np.where(ex[:, None], X[pid], v[tails[es]])
 
-        # The rim in the clip's angle order.  The mean, the spread and the
-        # farthest point are the clip's own bits; the angles are within 32 ULP
-        # of its angles, so an order whose gaps clear twice that is its order.
-        # Any other rim is ordered by the clip's own code.
+        # The rim in the clip's angle order, from the clip's own bits: the
+        # mean, the spread and the farthest point, then its vector dots
+        # (``_rowdot``) and, per angle coordinate, its matrix-vector product.
         K = int(k.max())
         valid = np.arange(K) < k[:, None]
         rim = np.zeros((q, K, 3))
         rim[xc, kpos] = X
         spread = np.where(valid[..., None], rim - (rim.sum(1) / k[:, None])[:, None], 0.0)
         ref = spread[r, np.argmax(np.linalg.norm(spread, axis=2), 1)]
-        ref = ref - np.einsum("ij,ij->i", ref, n)[:, None] * n
-        ref = ref / np.linalg.norm(ref, axis=1)[:, None]
-        ang = np.arctan2(np.einsum("ijk,ik->ij", spread, _cross3(n, ref)), np.einsum("ijk,ik->ij", spread, ref))
-        order = np.argsort(np.where(valid, ang, np.inf), axis=1, kind="stable")
-        sa = np.take_along_axis(ang, order, 1)
-        last = np.maximum(k - 1, 0)
-        ok = k >= 3
-        sure = (
-            ((np.diff(sa, axis=1) > 64.0 * _ULP) | ~valid[:, 1:]).all(1)
-            & (sa[:, 0] > 32.0 * _ULP - np.pi)
-            & (sa[r, last] < np.pi - 32.0 * _ULP)
+        ref = ref - _rowdot(ref, n)[:, None] * n
+        rn = np.sqrt(_rowdot(ref, ref))
+        ref = ref / rn[:, None]
+        ang = np.arctan2(
+            np.matmul(spread, _cross3(n, ref)[:, :, None])[..., 0], np.matmul(spread, ref[:, :, None])[..., 0]
         )
-        for c in np.flatnonzero(ok & ~sure).tolist():
-            exact = _rim_order(X[xfirst[c] : xfirst[c] + k[c]], n[c])
-            if exact is None:
-                ok[c] = False
-            else:
-                order[c, : k[c]] = exact
+        order = np.argsort(np.where(valid, ang, np.inf), axis=1, kind="stable")
+        ok = (k >= 3) & (rn > 0.0)
         # No two rim points within the merge distance.
         d2 = sum((rim[:, :, None, c] - rim[:, None, :, c]) ** 2 for c in range(3))
         ok &= ((d2 > self.close**2) | ~(valid[:, :, None] & valid[:, None, :]) | np.eye(K, dtype=bool)).all((1, 2))

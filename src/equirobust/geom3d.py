@@ -633,6 +633,24 @@ _PLATONIC_POINTS = {
     ),
 }
 
+#: Each solid's outward face cycles, in the order and from the start that
+#: ``hull3`` of its points gives them, so that no builtin needs scipy.
+_PLATONIC_FACES = {
+    "tetra": [(0, 1, 2), (2, 3, 0), (3, 2, 1), (3, 1, 0)],
+    "cube": [(4, 0, 2, 6), (0, 4, 5, 1), (5, 4, 6, 7), (0, 1, 3, 2), (6, 2, 3, 7), (1, 5, 7, 3)],
+    "octa": [(5, 3, 1), (0, 3, 5), (1, 3, 4), (0, 4, 3), (2, 0, 5), (1, 2, 5), (2, 4, 0), (4, 2, 1)],
+    "dodeca": [
+        (6, 18, 4, 8, 10), (0, 16, 2, 10, 8), (12, 1, 17, 16, 0), (2, 16, 17, 3, 13),
+        (1, 12, 14, 5, 9), (8, 4, 14, 12, 0), (14, 4, 18, 19, 5), (17, 1, 9, 11, 3),
+        (19, 7, 11, 9, 5), (2, 13, 15, 6, 10), (6, 15, 7, 19, 18), (11, 7, 15, 13, 3),
+    ],
+    "icosa": [
+        (0, 4, 8), (5, 2, 8), (2, 10, 0), (8, 2, 0), (6, 1, 4), (10, 6, 0), (4, 0, 6),
+        (9, 5, 8), (4, 9, 8), (4, 1, 9), (9, 1, 3), (5, 9, 3), (5, 3, 7), (5, 7, 2),
+        (7, 10, 2), (10, 11, 6), (3, 1, 11), (11, 1, 6), (11, 7, 3), (10, 7, 11),
+    ],
+}
+
 
 def platonic(name: str, edge: Optional[float] = None) -> ConvexPolyhedron3:
     """Regular polyhedron centered at the origin.
@@ -642,7 +660,7 @@ def platonic(name: str, edge: Optional[float] = None) -> ConvexPolyhedron3:
     """
     if name not in _PLATONIC_POINTS:
         raise ValueError(f"unknown solid {name!r}; choose from {sorted(_PLATONIC_POINTS)}")
-    base = hull3(_PLATONIC_POINTS[name])
+    base = polyhedron_new(_PLATONIC_POINTS[name], _PLATONIC_FACES[name])
     if edge is None:
         factor = 1.0 / math.sqrt(surface_area(base))
     else:

@@ -304,6 +304,8 @@ class _CutEvaluator:
     def __init__(self, P: ConvexPolygon2):
         self.P = P
         self.total = P.area
+        # Rows per chunk of the batched pass.
+        self.rows = max(1, _CUT_CHUNK_CELLS // (P.n + 3))
         xy = np.asarray(P.vertices)
         # Vertex i sits in column i + 1, between copies of its cyclic neighbours.
         self.X = np.concatenate([xy[-1:, 0], xy[:, 0], xy[:1, 0]])
@@ -338,10 +340,9 @@ class _CutEvaluator:
         count = np.full(m, -1)
         scalar = np.ones(m, dtype=bool)
         if self.batched:
-            rows = max(1, _CUT_CHUNK_CELLS // (self.P.n + 3))
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                for lo in range(0, m, rows):
-                    part = slice(lo, lo + rows)
+                for lo in range(0, m, self.rows):
+                    part = slice(lo, lo + self.rows)
                     scalar[part] = self._certified(nx[part], ny[part], d[part], kept[part], count[part])
         for i in np.flatnonzero(scalar).tolist():
             piece = clip_halfplane_nd(self.P, nx[i], ny[i], d[i])
@@ -509,14 +510,19 @@ def full_robustness_line_bound(
     Each direction gives two families of cuts ``m·z <= e``, ``m = side·n``;
     the ``-n`` family's grid is ``-offsets[::-1]`` and its support end
     ``-lo``.  The last reducing grid cut along ``e`` is the cheapest, and its
-    bracket runs one grid step toward the support end.  All grid cuts are one
-    batch; the brackets are then bisected in lockstep.  A batch holds one
-    step's midpoints and, while it spans at most ``SPECULATE_CELLS`` cells
-    (three cuts of ``n + 3`` ring slots per live bracket), step two's midpoint
-    on either side of each where that step's stop test passes; step two reads
-    the one on the side step one kept.  A batch thus serves up to two steps,
-    and none is empty.  The witness reports the unsigned offset ``side·e``
-    and the side.
+    bracket runs one grid step toward the support end, so the grid is read
+    from each family's support end down in rounds.  A round is one evaluator
+    chunk, ``_CUT_CHUNK_CELLS // (n + 3)`` cuts, spread evenly over the
+    families with cuts unread and no reducing cut yet, each taking its
+    highest unread offsets; a family leaves once a round finds its first
+    reducing cut.  Every round but the last fills its chunk, and a polygon
+    with no reducing cut reads its whole grid.  The brackets are then
+    bisected in lockstep.  A batch holds one step's midpoints and, while it
+    spans at most ``SPECULATE_CELLS`` cells (three cuts of ``n + 3`` ring
+    slots per live bracket), step two's midpoint on either side of each where
+    that step's stop test passes; step two reads the one on the side step one
+    kept.  A batch thus serves up to two steps, and none is empty.  The
+    witness reports the unsigned offset ``side·e`` and the side.
     """
     if not (is_count(grid_theta) and is_count(grid_offset)):
         raise ValueError("grid counts must be integers")
@@ -531,29 +537,69 @@ def full_robustness_line_bound(
     S0 = eq0.S
     evaluate = _CutEvaluator(P)
 
-    # Family 2j + 0 is direction j's side +1, family 2j + 1 its side -1.
+    # Family 2j + 0 is direction j's side +1, family 2j + 1 its side -1.  One
+    # linspace over all directions rounds each row as its own call would.
     thetas = [j * math.pi / grid_theta for j in range(grid_theta)]
-    normals, grids, ends, steps = [], [], [], []
-    for theta in thetas:
-        nx, ny = math.cos(theta), math.sin(theta)
-        lo, hi = P.support_interval(nx, ny)
-        offsets = np.linspace(lo, hi, grid_offset + 2)[1:-1]
-        step = offsets[1] - offsets[0] if grid_offset > 1 else hi - lo
-        normals += [(nx, ny), (-nx, -ny)]
-        grids += [offsets, -offsets[::-1]]
-        ends += [hi, -lo]
-        steps += [step, step]
-    M, E = np.array(normals), np.array(grids)
-    kept, counts = evaluate(M[:, 0].repeat(grid_offset), M[:, 1].repeat(grid_offset), E)
-    reducing = ((counts >= 0) & (counts < S0)).reshape(E.shape)
+    normals = np.array([(math.cos(theta), math.sin(theta)) for theta in thetas])
+    lo, hi = np.array([P.support_interval(nx, ny) for nx, ny in normals.tolist()]).T
+    offsets = np.linspace(lo, hi, grid_offset + 2, axis=1)[:, 1:-1]
+    step = offsets[:, 1] - offsets[:, 0] if grid_offset > 1 else hi - lo
+    M = np.stack([normals, -normals], 1).reshape(-1, 2)
+    E = np.stack([offsets, -offsets[:, ::-1]], 1).reshape(-1, grid_offset)
+    ends = np.stack([hi, -lo], 1).ravel()
+    steps = step.repeat(2)
+
+    # Grid rounds.  Per family: the index into ``E.flat`` of its last
+    # reducing cut (-1 while none is found) and the relative area that cut
+    # removes.  ``todo`` holds the families still reading, ``r`` how many
+    # cuts each has read from its support end down.
+    rows = evaluate.rows
+    NX, NY, flat = M[:, 0].copy(), M[:, 1].copy(), E.ravel()
+    hit = np.full(len(E), -1)
+    rel_hit = np.zeros(len(E))
+    todo = np.arange(len(E))
+    r = np.zeros(len(E), dtype=np.intp)
+    while len(todo):
+        take = grid_offset - r
+        if take.min() > rows // len(todo):
+            # Each family takes its even share of the chunk, c = rows // A
+            # cuts or c + 1, the extra ones spaced evenly.
+            share = np.arange(len(todo) + 1) * rows // len(todo)
+            take = share[1:] - share[:-1]
+        elif take.sum() > rows:
+            # As above, but a family takes at most its unread cuts: every one
+            # takes up to c cuts, c as large as the chunk allows, and the cuts
+            # left over go one each to families with more unread.  With u the
+            # unread counts in ascending order, c lies in [u[j - 1], u[j])
+            # for the first j where c = u[j] would overfill the chunk.
+            u = np.sort(take)
+            below = np.cumsum(u) - u
+            j = np.searchsorted(below + u * (len(u) - np.arange(len(u))), rows, side="right")
+            c = (rows - below[j]) // (len(u) - j)
+            more = np.flatnonzero(take > c)
+            np.minimum(take, c, out=take)
+            take[more] += np.diff(np.arange(len(more) + 1) * (rows - below[j] - c * len(more)) // len(more))
+        first = np.cumsum(take) - take
+        cell = np.repeat((todo + 1) * grid_offset - 1 - r + first, take) - np.arange(first[-1] + take[-1])
+        f = cell // grid_offset
+        kept, counts = evaluate(NX[f], NY[f], flat[cell])
+        red = np.flatnonzero((counts >= 0) & (counts < S0))
+        if len(red):
+            # Each family's cuts run down from its support end, so its first
+            # reducing one in this round is its last along e.
+            red = red[np.diff(f[red], prepend=-1) != 0]
+            hit[f[red]] = cell[red]
+            rel_hit[f[red]] = 1.0 - kept[red]
+        r += take
+        keep = (r < grid_offset) & (hit[todo] < 0)
+        todo, r = todo[keep], r[keep]
 
     # One bracket per family with a reducing grid cut, in family order, from
     # its last reducing grid cut along e, the cheapest.
-    fam = np.flatnonzero(reducing.any(1))
-    i = grid_offset - 1 - np.argmax(reducing[fam, ::-1], 1)
-    e_red = E[fam, i]
-    rel_red = 1.0 - kept.reshape(E.shape)[fam, i]
-    e_ok = np.minimum(e_red + np.array(steps)[fam], np.array(ends)[fam])
+    fam = np.flatnonzero(hit >= 0)
+    e_red = flat[hit[fam]]
+    rel_red = rel_hit[fam]
+    e_ok = np.minimum(e_red + steps[fam], ends[fam])
     live = np.full(len(fam), refine_tol is not None)
     while live.any():
         mid = 0.5 * (e_red + e_ok)

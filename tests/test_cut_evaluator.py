@@ -250,6 +250,64 @@ class TestAgainstScalarPath:
         assert count_scalar[0] < 0.01 * rows
 
 
+#: A quadrilateral with S = 2 at its centroid: no cut can reduce it.
+S2_QUAD = [
+    [-0.2885191709571862, -0.720929871204851],
+    [0.7515280433009688, 0.04231838945078792],
+    [0.4527650913486725, 0.11539166553114755],
+    [-0.28287775313111824, -0.5848361199796457],
+]
+
+
+class TestLineGridRounds:
+    """The line search reads each family's grid from its support end down, one
+    evaluator chunk per round, until the family has a reducing cut."""
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        """The number of cuts in each evaluator call, as they happen."""
+        calls = []
+        evaluate = _CutEvaluator.__call__
+
+        def recording(self, nx, ny, d):
+            calls.append(np.size(d))
+            return evaluate(self, nx, ny, d)
+
+        monkeypatch.setattr(_CutEvaluator, "__call__", recording)
+        return calls
+
+    @pytest.mark.parametrize(
+        "make, grid, rounds, calls",
+        [
+            # One chunk finds a reducing cut in every family; the full grid
+            # is 12 x 2 x 48 = 1152 cuts.
+            (lambda: regular_ngon(8), (12, 48), [372], [72] * 6 + [24]),
+            (lambda: regular_ngon(64), (12, 48), [61], [24] * 13),
+            # 585 = 24 x 24 + 9 cuts, then the 12 families without a reducing
+            # cut read the rest of their grids.
+            (unit_square, (12, 48), [585, 283], [60] * 7 + [20]),
+            # No cut reduces S = 2: the whole grid, and no bracket.
+            (lambda: ConvexPolygon2(S2_QUAD), (12, 48), [585, 567], []),
+        ],
+        ids=["8-gon", "64-gon", "square", "S2-quad"],
+    )
+    def test_rounds_match_reference(self, sizes, make, grid, rounds, calls):
+        P = make()
+        got = full_robustness_line_bound(P, *grid, 1e-6)
+        assert sizes == rounds + calls
+        assert all(n <= _CutEvaluator(P).rows for n in rounds)
+        assert got.to_json() == _line_bound_reference(P, *grid, 1e-6).to_json()
+        assert (got.status == "no_reduction_found") == (calls == [])
+
+    def test_scalar_polygon_reads_in_rounds(self, sizes, count_scalar):
+        # Above _CUT_MAX_VERTICES every cut takes the scalar path; the rounds
+        # still read the evaluator's chunk of 4096 // 403 = 10 cuts.
+        P = regular_ngon(400)
+        got = full_robustness_line_bound(P, 3, 5, 1e-6)
+        assert sizes == [10] + [6] * 16 and count_scalar[0] == sum(sizes)
+        assert got.to_json() == _line_bound_reference(P, 3, 5, 1e-6).to_json()
+
+
 class TestLineSearchArguments:
     def test_bisection_stops_when_midpoint_meets_an_end(self):
         # refine_tol far below the offsets' spacing used to loop forever once

@@ -10,9 +10,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from equirobust import equilib3d
+from equirobust import equilib3d, geom3d
 from equirobust.equilib3d import _CutEvaluator3, _search_counts
 from equirobust.geom3d import (
+    centroid3,
     clip_halfspace3,
     generator_ellipsoid_mesh,
     generator_prism,
@@ -139,6 +140,32 @@ class TestAgainstScalarPath:
         calls = _fallbacks(monkeypatch)
         _assert_matches(body, m, e)
         assert len(calls) == len(e)
+
+    @pytest.mark.parametrize("body", [platonic("cube"), generator_prism(6, 1.5)], ids=["cube", "prism:6"])
+    def test_symmetric_rims_are_ordered_without_the_clip(self, monkeypatch, body):
+        # A cut through the centre of a centrally symmetric body has a rim
+        # with a point at angle ±pi from its farthest point; the evaluator's
+        # angles are the clip's bits, so it orders that rim itself.
+        rim_orders = []
+        rim_order = geom3d._rim_order
+
+        def counting(*args):
+            rim_orders.append(args)
+            return rim_order(*args)
+
+        # The clip's ordering code, wherever the evaluator might import it from.
+        monkeypatch.setattr(geom3d, "_rim_order", counting)
+        monkeypatch.setattr(equilib3d, "_rim_order", counting, raising=False)
+        fallbacks = _fallbacks(monkeypatch)
+        normals = fibonacci_sphere(24) @ rotation_from_seed(1).T
+        m = np.concatenate([normals, -normals])
+        e = m @ np.asarray(centroid3(body))
+        rel, S, U = _CutEvaluator3(body)(m, e)
+        assert len(fallbacks) == len(rim_orders) == 0
+        got = [(r.hex(), s, u) for r, s, u in zip(rel.tolist(), S.tolist(), U.tolist())]
+        want = [(float(r).hex(), s, u) for r, s, u in (_scalar(body, row, x) for row, x in zip(m, e))]
+        assert got == want
+        assert len(rim_orders) == len(e)  # the clip orders every rim itself
 
     def test_random_cuts_rarely_fall_back(self, monkeypatch):
         rng = np.random.default_rng(3)

@@ -8,6 +8,7 @@ import pytest
 from equirobust.equilib3d import _vertex_worst
 from equirobust.errors import DegenerateInput, NonConvexInput
 from equirobust.geom3d import (
+    _PLATONIC_POINTS,
     ConvexPolyhedron3,
     _cross3,
     _rowdot,
@@ -326,6 +327,23 @@ def test_rowdot_is_the_vector_dot_bit_for_bit():
         assert np.array_equal(np.sqrt(_rowdot(a, a)), [np.linalg.norm(u) for u in a])
 
 
+def test_batched_matrix_vector_is_the_clip_product_bit_for_bit():
+    # The batched 3D evaluator reads its rim angles as
+    # ``np.matmul(spread, c[:, :, None])[..., 0]``, rows padded with zeros to
+    # the longest rim; each rim's prefix must be the clip's ``(k, 3) @ (3,)``.
+    rng = np.random.default_rng(19)
+    for _ in range(50):
+        q, K = int(rng.integers(1, 40)), int(rng.integers(3, 30))
+        k = rng.integers(3, K + 1, q)
+        scale = 10.0 ** rng.uniform(-150, 150, (q, 1, 1))
+        spread = rng.standard_normal((q, K, 3)) * scale
+        spread[np.arange(K) >= k[:, None]] = 0.0
+        c = rng.standard_normal((q, 3))
+        got = np.matmul(spread, c[:, :, None])[..., 0]
+        for i in range(q):
+            assert np.array_equal(got[i, : k[i]], spread[i, : k[i]] @ c[i])
+
+
 class TestTopology:
     def test_clip_pieces_match_recorded_digest(self):
         h = hashlib.sha256()
@@ -418,6 +436,17 @@ class TestPlatonic:
         assert (len(P.vertices), len(P.edges), len(P.faces)) == self.COUNTS[name]
         assert surface_area(P) == pytest.approx(1.0, abs=1e-12)
         assert max(abs(c) for c in centroid3(P)) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(COUNTS))
+    def test_stored_faces_are_the_hull_construction(self, name):
+        # The builtins store their face cycles instead of running hull3 (and
+        # scipy); each solid, at either scaling, is hull3's bit for bit.
+        base = hull3(_PLATONIC_POINTS[name])
+        e0 = math.dist(base.vertices[base.edges[0][0]], base.vertices[base.edges[0][1]])
+        for edge, factor in ((None, 1.0 / math.sqrt(surface_area(base))), (0.7, 0.7 / e0)):
+            P = platonic(name, edge)
+            assert P.coords.tobytes() == (base.coords * factor).tobytes()
+            assert np.array_equal(P.tails, base.tails) and np.array_equal(P.starts, base.starts)
 
     def test_unit_surface_cube_edge(self):
         c = platonic("cube")

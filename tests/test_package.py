@@ -33,3 +33,18 @@ def test_builtin_plane_search_does_not_load_scipy():
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(equirobust.__file__))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_platonic_builtin_does_not_load_scipy():
+    # The platonic solids are built from stored face cycles, not by hull3.
+    code = (
+        "import sys\n"
+        "from equirobust.equilib3d import classify3\n"
+        "from equirobust.geom3d import centroid3, platonic\n"
+        "P = platonic('cube')\n"
+        "classify3(P, centroid3(P))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(equirobust.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
