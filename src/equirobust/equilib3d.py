@@ -23,8 +23,8 @@ either) than the original.  Its cuts are ``m·z <= e`` with a signed normal
 ``m = side·n``, and one cache from (family, e) keeps each cut's evaluation,
 so no cut is evaluated twice.  ``_CutEvaluator3`` evaluates a batch of cuts
 at once, bit for bit as the clip, ``volume`` and the piece's counts would;
-the search makes one batch of every grid cut, then one per lockstep
-bisection step over all live brackets.
+the search makes one batch of every grid cut, then one per one or two
+lockstep bisection steps over the brackets that can still win.
 """
 
 from __future__ import annotations
@@ -784,6 +784,32 @@ class _CutEvaluator3:
         return rel, S, U, scalar
 
 
+def _removed_volume_slack(P: ConvexPolyhedron3) -> float:
+    """How far the relative volume a cut of ``P`` removes, as the search
+    computes it, can rise while ``e`` grows along one family of cuts.
+
+    Along a family every kept/crossing decision moves one way as ``e`` grows
+    (the clip's ``v @ n - d`` falls with ``d``), so the piece spanned by the
+    kept vertices and the exact crossing points only grows, and the volume it
+    removes only falls.  A computed value lies within ``err`` of that volume
+    (over ``vol0``), so it rises by at most ``2 err``.  ``err`` sums, with D
+    the bounding-box diagonal, R the farthest vertex from the origin, A the
+    surface area (no piece has more) and T <= 2 * slots the fan triangles of
+    a piece: the origin fan's terms and sum, under ``8 (T + 10) ulp R (D^2 +
+    A)``, which also covers the crossing points' rounding; a rim vertex kept
+    up to ``eps`` off the plane, ``2 eps A``; and the clip's merges, which move
+    a point by at most a chain of merge distances through every point, ``2
+    slots merge A``.
+    """
+    vol0, _, area = P.mass_properties
+    slots = len(P.tails)
+    R = float(np.sqrt((P.coords * P.coords).sum(1)).max())
+    D = P.scale
+    rounding = 8.0 * (2 * slots + 10) * _ULP * R * (D * D + area)
+    geometry = 2.0 * (P.eps + slots * _merge_distance(P)) * area
+    return 2.0 * ((rounding + geometry) / vol0 + _ULP)
+
+
 def plane_truncation_search(
     P: ConvexPolyhedron3,
     target: str = "reduce_any",
@@ -816,13 +842,20 @@ def plane_truncation_search(
     takes both of the next step's midpoints, ``0.5 * (e_a + mid)`` and
     ``0.5 * (mid + e_b)``, so the next step finds its midpoint cached
     whichever end moved.  A call thus serves up to two steps; the 60-step cap
-    counts steps.  Each
-    predicate's witness is its cheapest bracket, the first in (normal, side)
-    order among equals; it reports ``n``, the unsigned ``offset = side·e``
-    and the side.  The reference search in the tests stops a bracket once its
-    non-reducing end removes at least the incumbent's volume, and gives the
-    same witness: the volume removed falls as ``e`` grows, so such a bracket
-    ends with ``rel_a >= rel_b >=`` that incumbent.
+    counts steps.  Each predicate's witness is its cheapest bracket, the
+    first in (normal, side) order among equals; it reports ``n``, the
+    unsigned ``offset = side·e`` and the side.
+
+    A bracket also stops once its non-reducing end removes more than its
+    predicate's incumbent (the least ``rel_a`` over its brackets) plus
+    ``2δ``, and so the cells of a call count only the live brackets.  The
+    volume removed falls as ``e`` grows, and ``δ`` from
+    ``_removed_volume_slack`` bounds how far its computed value can rise
+    instead, so every value such a bracket could still reach, and the one it
+    keeps, lies above whatever the incumbent's bracket ends with: the
+    witnesses and partial values are those of bisecting every bracket.  A
+    body whose S0 and U0 are both 1 has no reducing cut (a piece keeps a
+    stable face and an unstable vertex) and returns before its grid.
     """
     kinds = {"reduce_S": ("partial_s", "S"), "reduce_U": ("partial_u", "U"), "reduce_any": ("partial_any", "SU")}
     if target not in kinds:
@@ -840,6 +873,19 @@ def plane_truncation_search(
     if eq0.any_degenerate:
         raise DegenerateConfiguration("base classification is degenerate")
     S0, U0 = eq0.S, eq0.U
+    details = {
+        "S0": S0,
+        "U0": U0,
+        "grid": [n_normals, n_offsets],
+        "seed": seed,
+        "refine_tol": refine_tol,
+        "partial_s": None,
+        "partial_u": None,
+        "upper_bound": True,
+    }
+    if S0 <= 1 and U0 <= 1:
+        # A piece at its own centroid keeps a stable face and an unstable vertex.
+        return RobustnessReport(kind=kind, value=None, method="search", status="no_reduction_found", details=details)
     normals = fibonacci_sphere(n_normals) @ rotation_from_seed(seed).T
     evaluate = _CutEvaluator3(P)
 
@@ -871,8 +917,14 @@ def plane_truncation_search(
     e_b = np.where(above.any(1), E[fam, j], ends[fam])
     rel_b = np.where(above.any(1), rel[fam, j], 0.0)
 
+    # A bracket whose non-reducing end removes more than its predicate's
+    # incumbent, by more than the computed volume can rise, ends above it.
+    delta = _removed_volume_slack(P)
     for step in range(60):
-        live = np.flatnonzero(np.abs(rel_a - rel_b) > refine_tol)
+        incumbent = np.full(2, np.inf)
+        np.minimum.at(incumbent, pred, rel_a)
+        above = rel_b > incumbent[pred] + 2.0 * delta
+        live = np.flatnonzero((np.abs(rel_a - rel_b) > refine_tol) & ~above)
         if not len(live):
             break
         a, b = e_a[live], e_b[live]
@@ -911,7 +963,8 @@ def plane_truncation_search(
             "relative_volume_removed": float(rel_a[k]),
         }
 
-    vS, vU = (None if best[p] is None else best[p]["relative_volume_removed"] for p in "SU")
+    for p, key in (("S", "partial_s"), ("U", "partial_u")):
+        details[key] = None if best[p] is None else best[p]["relative_volume_removed"]
     witness = min((best[p] for p in preds if best[p] is not None), key=lambda w: w["relative_volume_removed"], default=None)
     value = None if witness is None else witness["relative_volume_removed"]
     return RobustnessReport(
@@ -920,14 +973,5 @@ def plane_truncation_search(
         method="search",
         witness=witness,
         status="ok" if value is not None else "no_reduction_found",
-        details={
-            "S0": S0,
-            "U0": U0,
-            "grid": [n_normals, n_offsets],
-            "seed": seed,
-            "refine_tol": refine_tol,
-            "partial_s": vS,
-            "partial_u": vU,
-            "upper_bound": True,
-        },
+        details=details,
     )

@@ -490,6 +490,29 @@ class _CutEvaluator:
         return scalar
 
 
+def _removed_area_slack(P: ConvexPolygon2) -> float:
+    """How far the relative area a cut of ``P`` removes, as the search computes
+    it, can rise while ``e`` grows along one family of cuts.
+
+    Along a family every kept/crossing decision moves one way as ``e`` grows
+    (the clip's ``n·z - d`` falls with ``d``), so the polygon spanned by the
+    kept vertices and the exact crossing points only grows, and the area it
+    removes only falls.  A computed value lies within ``err`` of that area
+    (over the polygon's), so it rises by at most ``2 err``.  ``err`` sums, with
+    R the largest coordinate magnitude and D the diameter: the shoelace sum of
+    at most ``n + 1`` terms, under ``_CutEvaluator.area_slack``; the crossing
+    points' rounding, under ``128 ulp R D``; and the scalar cleanup, which
+    drops at most ``n + 2`` points, each a turn of at most ``2 EPS D^2`` or a
+    merge along a chain of merge distances, under ``5 (n + 2) EPS D^2``.
+    """
+    reach = float(np.abs(np.asarray(P.vertices)).max())
+    D = P.diameter
+    shoelace = 4.0 * (P.n + 1) ** 2 * 2.0**-53 * reach * reach
+    crossing = 128.0 * 2.0**-52 * reach * D
+    cleanup = 5.0 * (P.n + 2) * tol.EPS_GEOM * D * D
+    return 2.0 * ((shoelace + crossing + cleanup) / P.area + 2.0**-52)
+
+
 def full_robustness_line_bound(
     P: ConvexPolygon2,
     grid_theta: int = 180,
@@ -523,6 +546,15 @@ def full_robustness_line_bound(
     that step's stop test passes; step two reads the one on the side step one
     kept.  A batch thus serves up to two steps, and none is empty.  The
     witness reports the unsigned offset ``side·e`` and the side.
+
+    A bracket also stops once the last usable cut seen at its non-reducing
+    end removes more than the least ``rel_red`` over all brackets plus
+    ``2δ``, and so the cells of a batch count only the live brackets.  The
+    area removed falls as ``e`` grows, and ``δ`` from ``_removed_area_slack``
+    bounds how far its computed value can rise instead, so such a bracket
+    ends above the witness's: the report is that of bisecting every bracket.
+    A polygon with S <= 2 has no reducing cut (a convex piece keeps two
+    stable points at its own centroid) and returns before its grid.
     """
     if not (is_count(grid_theta) and is_count(grid_offset)):
         raise ValueError("grid counts must be integers")
@@ -535,6 +567,10 @@ def full_robustness_line_bound(
     if eq0.any_degenerate:
         raise DegenerateConfiguration("polygon is degenerate at its centroid")
     S0 = eq0.S
+    details = {"S": S0, "grid_theta": grid_theta, "grid_offset": grid_offset, "refine_tol": refine_tol, "upper_bound": True}
+    if S0 <= 2:
+        # A convex polygon keeps two stable points at its own centroid.
+        return RobustnessReport(kind="full_line_bound", value=None, method="search", status="no_reduction_found", details=details)
     evaluate = _CutEvaluator(P)
 
     # Family 2j + 0 is direction j's side +1, family 2j + 1 its side -1.  One
@@ -600,10 +636,16 @@ def full_robustness_line_bound(
     e_red = flat[hit[fam]]
     rel_red = rel_hit[fam]
     e_ok = np.minimum(e_red + steps[fam], ends[fam])
+    # What the last usable cut seen at or above ``e_ok`` removes (0 before
+    # one is seen).  A bracket whose ``rel_ok`` exceeds the least ``rel_red``,
+    # by more than the computed area can rise, ends above it.
+    rel_ok = np.zeros(len(fam))
+    delta = _removed_area_slack(P)
     live = np.full(len(fam), refine_tol is not None)
     while live.any():
         mid = 0.5 * (e_red + e_ok)
-        live &= (np.abs(e_ok - e_red) > refine_tol) & (mid != e_red) & (mid != e_ok)
+        above = rel_ok > rel_red.min() + 2.0 * delta
+        live &= (np.abs(e_ok - e_red) > refine_tol) & (mid != e_red) & (mid != e_ok) & ~above
         idx = np.flatnonzero(live)
         if not len(idx):
             break
@@ -632,6 +674,8 @@ def full_robustness_line_bound(
             e_red[rows[step[red]]] = e[step[red]]
             rel_red[rows[step[red]]] = 1.0 - kept[step[red]]
             e_ok[rows[step[~red]]] = e[step[~red]]
+            ok = step[~red & (counts[step] >= 0)]
+            rel_ok[rows[ok]] = 1.0 - kept[ok]
 
     best_val = math.inf
     best_witness: Optional[dict] = None
@@ -656,7 +700,7 @@ def full_robustness_line_bound(
         method="search",
         status="ok" if found else "no_reduction_found",
         witness=best_witness,
-        details={"S": S0, "grid_theta": grid_theta, "grid_offset": grid_offset, "refine_tol": refine_tol, "upper_bound": True},
+        details=details,
     )
 
 

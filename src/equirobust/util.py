@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -209,7 +209,7 @@ def first_exit_distances(
     target_count: int,
     s_max: float,
     tol: float,
-    table: Optional[RayTable] = None,
+    table: RayTable,
 ) -> np.ndarray:
     """Per direction, distance from ``origin`` to the first point where a count changes.
 
@@ -228,17 +228,13 @@ def first_exit_distances(
     first bad step is one ``argmax``; the bisection reads each query's count
     from the table.  Only a query that the table leaves undecided goes to
     ``count_batch``, which stays the fallback: a grid asks it for a row's
-    undecided steps below that row's first certainly bad one.  Without a
-    ``table`` nothing is certified and every count comes from
-    ``count_batch``.  Either way the brackets, and so the distances, equal
-    those of a walk that asks ``count_batch`` for one step at a time; a
-    fallback query is formed exactly as that walk forms it, and the calls
-    hold at most ``_EXIT_BATCH_POINTS`` points.
+    undecided steps below that row's first certainly bad one.  The brackets,
+    and so the distances, equal those of a walk that asks ``count_batch``
+    for one step at a time; a fallback query is formed exactly as that walk
+    forms it, and the calls hold at most ``_EXIT_BATCH_POINTS`` points.
     """
     directions = np.asarray(directions, dtype=float)
     m = directions.shape[0]
-    if table is None:  # one face per row, undecided everywhere
-        table = RayTable(np.repeat([[-np.inf], [-np.inf], [-np.inf], [np.inf]], m, axis=1), np.arange(m + 1))
     all_rows = np.arange(m)
     lo = np.zeros(m)
     hi = np.full(m, np.inf)  # finite once a row's crossing is bracketed

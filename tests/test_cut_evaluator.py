@@ -280,16 +280,19 @@ class TestLineGridRounds:
         "make, grid, rounds, calls",
         [
             # One chunk finds a reducing cut in every family; the full grid
-            # is 12 x 2 x 48 = 1152 cuts.
-            (lambda: regular_ngon(8), (12, 48), [372], [72] * 6 + [24]),
-            (lambda: regular_ngon(64), (12, 48), [61], [24] * 13),
+            # is 12 x 2 x 48 = 1152 cuts.  Brackets that end above the
+            # incumbent leave the bisection.
+            (lambda: regular_ngon(8), (12, 48), [372], [72] + [24] * 5 + [8]),
+            (lambda: regular_ngon(64), (12, 48), [61], [24] * 8 + [8]),
             # 585 = 24 x 24 + 9 cuts, then the 12 families without a reducing
             # cut read the rest of their grids.
-            (unit_square, (12, 48), [585, 283], [60] * 7 + [20]),
-            # No cut reduces S = 2: the whole grid, and no bracket.
-            (lambda: ConvexPolygon2(S2_QUAD), (12, 48), [585, 567], []),
+            (unit_square, (12, 48), [585, 283], [60] + [12] * 6 + [4]),
+            # No cut of this grid reduces S = 4: the whole grid, and no bracket.
+            (unit_square, (2, 2), [8], []),
+            # No cut can reduce S = 2: the search returns before its grid.
+            (lambda: ConvexPolygon2(S2_QUAD), (12, 48), [], []),
         ],
-        ids=["8-gon", "64-gon", "square", "S2-quad"],
+        ids=["8-gon", "64-gon", "square", "square-2x2", "S2-quad"],
     )
     def test_rounds_match_reference(self, sizes, make, grid, rounds, calls):
         P = make()

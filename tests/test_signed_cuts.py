@@ -17,8 +17,9 @@ from equirobust import equilib3d, robust2d, tol
 from equirobust.equilib2d import equilibria
 from equirobust.equilib3d import _search_counts, classify3, plane_truncation_search
 from equirobust.errors import DegenerateConfiguration, TooFewStable
-from equirobust.geom2d import area_outside_disk, clip_halfplane_nd, polygon_new, regular_ngon
+from equirobust.geom2d import ConvexPolygon2, area_outside_disk, clip_halfplane_nd, polygon_new, regular_ngon
 from equirobust.geom3d import (
+    ConvexPolyhedron3,
     centroid3,
     clip_halfspace3,
     generator_prism,
@@ -315,15 +316,7 @@ class TestPlaneSearch:
 
     @staticmethod
     def _calls(monkeypatch):
-        sizes = []
-        evaluate = equilib3d._CutEvaluator3.__call__
-
-        def recording(self, m, e):
-            sizes.append(len(e))
-            return evaluate(self, m, e)
-
-        monkeypatch.setattr(equilib3d._CutEvaluator3, "__call__", recording)
-        return sizes
+        return _counting(monkeypatch, equilib3d._CutEvaluator3)
 
     def test_two_steps_per_evaluator_call(self, monkeypatch):
         # Each call that a step's midpoints need also takes both of the next
@@ -335,14 +328,16 @@ class TestPlaneSearch:
 
     def test_no_speculation_above_the_cell_budget(self, monkeypatch):
         # cylcut:1:3 has 832 slots, so a batch stays within SPECULATE_CELLS
-        # only for one live bracket; this search has more at every step, and
-        # every step makes its own call.
+        # only for one live bracket.  This search bisects four brackets, two
+        # mirror pairs that tie in volume; after 7 steps one pair ends above
+        # the other's incumbent and stops, and the tied pair stays live to
+        # the end, so every step makes its own call.
         sizes = self._calls(monkeypatch)
         body = generator_truncated_cylinder(1, 3)
         assert 3 * 2 * len(body.tails) > SPECULATE_CELLS
         args = (body, "reduce_any", (4, 4), 1e-4, 0)
         assert plane_truncation_search(*args).to_json() == _plane_search_reference(*args).to_json()
-        assert len(sizes) == 13 and all(sizes)
+        assert sizes == [32] + [4] * 7 + [2] * 3
 
     def test_step_cap_matches_reference(self):
         # At refine_tol 1e-300 the brackets never meet the tolerance; the
@@ -407,3 +402,161 @@ class TestLineBound:
         P = regular_ngon(8)
         assert full_robustness_line_bound(P, 12, 48, 1e-6).to_json() == _line_bound_reference(P, 12, 48, 1e-6).to_json()
         assert len(sizes) == 8 and all(sizes)
+
+
+def _shifted3(P, shift):
+    """``P`` moved by ``shift`` along a fixed direction.  Built from its face
+    cycles directly: far from the origin ``polyhedron_new`` rejects the
+    octahedron's triangles as non-planar."""
+    return ConvexPolyhedron3(P.coords + shift * np.array([1.0, -0.6, 0.3]), P.faces)
+
+
+def _shifted2(P, shift):
+    return ConvexPolygon2([(x + shift, y - 0.7 * shift) for x, y in P.vertices])
+
+
+def _counting(monkeypatch, evaluator):
+    """Counts the cuts that enter ``evaluator`` (one total per call)."""
+    sizes = []
+    evaluate = evaluator.__call__
+
+    def recording(self, *args):
+        sizes.append(len(args[-1]))
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(evaluator, "__call__", recording)
+    return sizes
+
+
+_GRIDS = ((2, 2), (4, 4), (9, 7), (12, 48))
+_TOLS = (1e-4, 1e-7, 1e-300)
+
+
+class TestStopRule:
+    """A bracket stops once its non-reducing end removes more than its
+    predicate's incumbent plus twice the search's slack.  With an infinite
+    slack nothing stops, and every report must stay the same to the byte."""
+
+    @staticmethod
+    def _with_and_without(monkeypatch, module, slack, evaluator, runs):
+        sizes = _counting(monkeypatch, evaluator)
+        stopped = [_outcome(*run) for run in runs]
+        cuts = sum(sizes)
+        sizes.clear()
+        monkeypatch.setattr(module, slack, lambda P: math.inf)
+        full = [_outcome(*run) for run in runs]
+        return stopped, full, cuts, sum(sizes)
+
+    def test_plane_search_reports_keep_every_byte(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        bodies = [body for _, body in _bodies()]
+        bodies += [random_hull3(rng, 10), random_hull3(rng, 20)]
+        bodies += [_shifted3(platonic("octa"), 1e4), _shifted3(platonic("cube"), 1e5)]
+        bodies += [_shifted3(random_hull3(rng, 12), 1e3), _shifted3(generator_prism(5, 1.0), 1e5)]
+        # Two grids per body; targets, grids and tolerances rotate over them.
+        runs = [
+            (plane_truncation_search, body, _TARGETS[(i + k) % 3], _GRIDS[(i + k) % 4], _TOLS[(i + 2 * k) % 3], i + k)
+            for i, body in enumerate(bodies)
+            for k in (0, 2)
+        ]
+        stopped, full, cuts, full_cuts = self._with_and_without(
+            monkeypatch, equilib3d, "_removed_volume_slack", equilib3d._CutEvaluator3, runs
+        )
+        assert stopped == full
+        assert sum(out.startswith("{") for out in full) == len(runs)
+        assert cuts < 0.75 * full_cuts
+
+    def test_line_search_reports_keep_every_byte(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        polys = [regular_ngon(S) for S in (3, 7, 64)] + [random_convex_polygon(rng, S) for S in (4, 11, 30)]
+        polys += [_shifted2(regular_ngon(8), 1e3), _shifted2(random_convex_polygon(rng, 6), 1e5)]
+        polys += [ConvexPolygon2([(1e6, 1e6), (1e6 + 1, 1e6), (1e6 + 1, 1e6 + 1.5), (1e6, 1e6 + 1)])]
+        runs = [
+            (full_robustness_line_bound, P, *grid, _TOLS[(i + k) % 3])
+            for i, P in enumerate(polys)
+            for k, grid in enumerate(_GRIDS)
+        ]
+        stopped, full, cuts, full_cuts = self._with_and_without(
+            monkeypatch, robust2d, "_removed_area_slack", robust2d._CutEvaluator, runs
+        )
+        assert stopped == full
+        assert cuts < 0.9 * full_cuts
+
+    def test_pinned_dodecahedron_at_cli_grid(self, monkeypatch):
+        # The CLI's default 32 x 16 grid: the stop rule halves the calls and
+        # the cuts, and the report stays the same.
+        args = (platonic("dodeca"), "reduce_any", (32, 16), 1e-4, 5)
+        sizes = _counting(monkeypatch, equilib3d._CutEvaluator3)
+        got = plane_truncation_search(*args).to_json()
+        assert (len(sizes), sum(sizes)) == (6, 1100)
+        sizes.clear()
+        monkeypatch.setattr(equilib3d, "_removed_volume_slack", lambda P: math.inf)
+        assert plane_truncation_search(*args).to_json() == got
+        assert (len(sizes), sum(sizes)) == (11, 2202)
+
+    @staticmethod
+    def _centres(lo, hi, levels):
+        """Offsets around which the rise tests probe: three inside the support
+        interval ``(lo, hi)`` and each of the vertex ``levels`` strictly inside
+        it, where the clip keeps a vertex on the plane or merges points."""
+        return list(np.linspace(lo, hi, 5)[1:-1]) + [float(x) for x in levels if lo < x < hi]
+
+    def test_computed_volume_removed_rises_less_than_slack(self):
+        # 200 offsets spanning 1e-9 of the support width around each centre.
+        seen = {}
+        for shift in (0.0, 1e5):
+            for name in ("octa", "dodeca"):
+                P = _shifted3(platonic(name), shift)
+                evaluate = equilib3d._CutEvaluator3(P)
+                delta = equilib3d._removed_volume_slack(P)
+                worst = 0.0
+                for n in fibonacci_sphere(2):
+                    lo, hi = P.support_interval(n)
+                    for c in self._centres(lo, hi, (P.coords @ n)[:2]):
+                        e = c + np.linspace(-0.5e-9, 0.5e-9, 200) * (hi - lo)
+                        rel = evaluate(np.repeat(n[None], len(e), axis=0), e)[0]
+                        worst = max(worst, float(np.diff(rel).max()))
+                assert worst <= delta
+                seen[name, shift] = worst
+        # Far from the origin the rounding alone lifts the fraction by more
+        # than any fixed 1e-12.
+        assert max(seen[name, 1e5] for name in ("octa", "dodeca")) > 1e-12
+
+    def test_computed_area_removed_rises_less_than_slack(self):
+        rng = np.random.default_rng(47)
+        seen = {}
+        for shift in (0.0, 1e3, 1e5):
+            for P in (_shifted2(regular_ngon(8), shift), _shifted2(random_convex_polygon(rng, 12), shift)):
+                evaluate = robust2d._CutEvaluator(P)
+                delta = robust2d._removed_area_slack(P)
+                worst = 0.0
+                for theta in (0.1, 1.3, 2.2):
+                    nx, ny = math.cos(theta), math.sin(theta)
+                    lo, hi = P.support_interval(nx, ny)
+                    for c in self._centres(lo, hi, [nx * x + ny * y for x, y in P.vertices]):
+                        e = c + np.linspace(-0.5e-9, 0.5e-9, 200) * (hi - lo)
+                        kept = evaluate(np.full(len(e), nx), np.full(len(e), ny), e)[0]
+                        worst = max(worst, float(np.diff(1.0 - kept).max()))
+                assert worst <= delta
+                seen[shift] = max(seen.get(shift, 0.0), worst)
+        assert seen[1e5] > 1e-12
+
+
+class TestNoReducingCut:
+    def test_plane_search_with_one_stable_and_one_unstable_point_returns_at_once(self, monkeypatch):
+        # No body known has S = U = 1, so the base classification is faked;
+        # the reference still reads every grid cut and bisects nothing, as no
+        # usable piece has S < 1 or U < 1.
+        class OneAndOne:
+            S = U = 1
+            any_degenerate = False
+
+        monkeypatch.setattr(equilib3d, "classify3", lambda P, p: OneAndOne())
+        monkeypatch.setitem(globals(), "classify3", lambda P, p: OneAndOne())
+        sizes = _counting(monkeypatch, equilib3d._CutEvaluator3)
+        for body in (platonic("cube"), generator_prism(5, 1.0)):
+            for target in _TARGETS:
+                args = (body, target, (4, 4), 1e-4, 3)
+                got = plane_truncation_search(*args)
+                assert sizes == [] and got.status == "no_reduction_found"
+                assert got.to_json() == _plane_search_reference(*args).to_json()

@@ -97,6 +97,14 @@ def _recording(count_batch):
     return wrapped, sizes
 
 
+def _plain_walk(count_batch, origin, directions, target_count, s_max, tol):
+    """``first_exit_distances`` with a table that leaves every count
+    undecided (one face per row), so every count comes from ``count_batch``."""
+    m = len(directions)
+    table = RayTable(np.repeat([[-np.inf], [-np.inf], [-np.inf], [np.inf]], m, axis=1), np.arange(m + 1))
+    return first_exit_distances(count_batch, origin, directions, target_count, s_max, tol, table)
+
+
 def _unit_directions(m):
     angles = np.arange(m) * (2.0 * np.pi / m)
     return np.column_stack([np.cos(angles), np.sin(angles)])
@@ -126,7 +134,7 @@ class TestFirstExitDistances:
         count = _shells(origin)
         want, rounds = _first_exit_stepwise(count, origin, dirs, 2, 10.0, 1e-6)
         batch, sizes = _recording(count)
-        got = first_exit_distances(batch, origin, dirs, 2, 10.0, 1e-6)
+        got = _plain_walk(batch, origin, dirs, 2, 10.0, 1e-6)
         assert rounds >= 2  # the shells the coarse scan skips need a second round
         assert (want == 10.0).any() and (want < 1.6).any()
         assert np.array_equal(got, want)
@@ -147,7 +155,7 @@ class TestFirstExitDistances:
         origin = np.zeros(2)
         dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [0.6, 0.8]])
         want, _ = _first_exit_stepwise(count, origin, dirs, 0, 8.0, 1e-6)
-        got = first_exit_distances(count, origin, dirs, 0, 8.0, 1e-6)
+        got = _plain_walk(count, origin, dirs, 0, 8.0, 1e-6)
         assert want[0] == want[2] == 321 / 128
         assert want[1] == want[3] == 2.0**-20  # step 0's bracket (0, 1/128), bisected
         assert want[4] == 8.0
@@ -158,7 +166,7 @@ class TestFirstExitDistances:
         dirs = _unit_directions(util._EXIT_BATCH_POINTS + 903)
         count = _shells(origin)
         want, _ = _first_exit_stepwise(count, origin, dirs, 2, 10.0, 1e-6)
-        got = first_exit_distances(count, origin, dirs, 2, 10.0, 1e-6)
+        got = _plain_walk(count, origin, dirs, 2, 10.0, 1e-6)
         assert np.array_equal(got, want)
 
 
@@ -219,7 +227,7 @@ class TestRayTables:
             want, _ = _first_exit_stepwise(count, origin, dirs, 0, 8.0, 1e-6)
             batch, sizes = _recording(count)
             got = first_exit_distances(batch, origin, dirs, 0, 8.0, 1e-6, table)
-            plain = first_exit_distances(count, origin, dirs, 0, 8.0, 1e-6)
+            plain = _plain_walk(count, origin, dirs, 0, 8.0, 1e-6)
             assert np.array_equal(got, want)
             assert np.array_equal(plain, want)
             assert (want < 8.0).any() and (want == 8.0).any()
@@ -272,7 +280,7 @@ class TestRayTables:
                 got = first_exit_distances(batch, q, dirs, target, 2.0, 1e-9, table)
             assert decided == len(rows)
             assert sizes == []  # a fully decided walk never falls back
-            assert np.array_equal(got, first_exit_distances(lambda pts: count(P, pts), q, dirs, target, 2.0, 1e-9))
+            assert np.array_equal(got, _plain_walk(lambda pts: count(P, pts), q, dirs, target, 2.0, 1e-9))
 
     def test_3d_oracle_allocates_little(self):
         P = generator_truncated_cylinder(1, 3)
