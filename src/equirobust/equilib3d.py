@@ -531,6 +531,7 @@ class _CutEvaluator3:
     def __init__(self, P: ConvexPolyhedron3):
         self.P = P
         self.vol0 = volume(P)
+        self.normals: dict[bytes, tuple[float, np.ndarray, np.ndarray]] = {}
         v = P.coords
         self.reach = float(np.sqrt((v * v).sum(1)).max())
         # The clip's merge distance, raised far above the rounding of a signed
@@ -564,13 +565,14 @@ class _CutEvaluator3:
         scalar = np.ones(k, dtype=bool)
         if self.batched and k:
             # One normalization and projection per distinct normal, as the clip
-            # computes them: a column of V @ N.T is not always V @ n.
+            # computes them (a column of V @ N.T is not always V @ n), kept
+            # for the evaluator's later calls.
             _, first, which = np.unique(m.view(np.dtype((np.void, 24))).ravel(), return_index=True, return_inverse=True)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                norm = np.array([np.linalg.norm(m[i]) for i in first.tolist()])
-                n = m[first] / norm[:, None]
+                norm, n, base = zip(*map(self._normal, m[first]))
+                norm, n = np.array(norm), np.stack(n)
                 d = e / norm[which]
-                base = np.stack([self.P.coords @ row for row in n])
+                base = np.stack(base)
                 good = np.flatnonzero((np.isfinite(norm) & (norm > 0.0))[which] & np.isfinite(d))
                 rows = max(1, _CUT3_CHUNK_CELLS // len(self.P.tails))
                 for lo in range(0, len(good), rows):
@@ -586,6 +588,15 @@ class _CutEvaluator3:
                 if counts is not None:
                     S[i], U[i] = counts
         return rel, S, U
+
+    def _normal(self, row: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """A cut normal's norm, unit vector and vertex projections ``v @ n``."""
+        key = row.tobytes()
+        if key not in self.normals:
+            norm = np.linalg.norm(row)
+            n = row / norm
+            self.normals[key] = (norm, n, self.P.coords @ n)
+        return self.normals[key]
 
     def _chunk(self, n: np.ndarray, s: np.ndarray):
         """(rel, S, U, scalar) of cuts with unit normals ``n`` and signed vertex

@@ -272,30 +272,37 @@ def polyhedron_new(vertices: Iterable[Sequence[float]], faces: Iterable[Sequence
     eps = tol.EPS_GEOM * scale
     inner = v.mean(axis=0)
 
-    oriented: list[tuple[int, ...]] = []
-    for k, face in enumerate(face_list):
-        n = np.zeros(3)
-        for i in range(len(face)):
-            n += np.cross(v[face[i]], v[face[(i + 1) % len(face)]])
-        norm = np.linalg.norm(n)
-        if norm <= eps * scale:
-            raise DegenerateInput(f"face {k} is degenerate (near-zero area)")
-        n /= norm
-        d = float(n @ v[face[0]])
-        if np.max(np.abs(v[list(face)] @ n - d)) > eps:
-            raise DegenerateInput(f"face {k} is not planar")
-        side = float(n @ inner) - d
-        if abs(side) <= eps:
-            raise DegenerateInput(f"face {k} passes through the interior point")
-        if side > 0.0:
-            face = tuple(reversed(face))
-            n = -n
-            d = -d
-        oriented.append(tuple(face))
-        if np.max(v @ n - d) > eps:
+    # Every face's Newell normal, plane and checks at once; the normal is
+    # summed as ``plane_normals`` sums it, slot by slot in cycle order.
+    given = ConvexPolyhedron3._from_arrays(
+        v, np.array([i for f in face_list for i in f], dtype=np.intp), np.cumsum([0] + list(map(len, face_list)), dtype=np.intp)
+    )
+    tails, heads, slot_face, starts = given.slot_arrays
+    sums = np.add.reduceat(_cross3(v[tails], v[heads]), starts[:-1], axis=0)
+    norm = np.sqrt(_rowdot(sums, sums))
+    degenerate = norm <= eps * scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = sums / norm[:, None]
+    d = _rowdot(n, v[tails[starts[:-1]]])
+    off_plane = np.abs(_rowdot(v[tails], n[slot_face]) - d[slot_face]) > eps
+    not_planar = np.logical_or.reduceat(off_plane, starts[:-1])
+    side = _rowdot(n, np.tile(inner, (len(n), 1))) - d
+    through = np.abs(side) <= eps
+    # Each face faces away from the interior point.
+    flip = side > 0.0
+    n[flip], d[flip] = -n[flip], -d[flip]
+    block = max(1, (1 << 16) // len(v))
+    reach = np.concatenate([(v @ n[i : i + block].T - d[i : i + block]).max(axis=0) for i in range(0, len(n), block)])
+    checks = np.stack([degenerate, not_planar, through, reach > eps], axis=1)
+    if checks.any():
+        k, check = (int(i) for i in np.argwhere(checks)[0])
+        if check == 3:
             raise NonConvexInput(f"a vertex lies outside the plane of face {k}")
+        raise DegenerateInput(f"face {k} " + ("is degenerate (near-zero area)", "is not planar", "passes through the interior point")[check])
+    at = np.arange(len(tails))
+    tails = tails[np.where(flip[slot_face], starts[slot_face] + starts[slot_face + 1] - 1 - at, at)]
 
-    P = ConvexPolyhedron3(verts, oriented)
+    P = ConvexPolyhedron3._from_arrays(v, tails, starts)
     if not P.structural_ok():
         raise DegenerateInput("face cycles do not tile a closed surface (edge pairing or Euler failure)")
     if volume(P) <= _VOL_REL_FLOOR * scale**3:
@@ -326,12 +333,10 @@ def hull3(points: Iterable[Sequence[float]]) -> ConvexPolyhedron3:
     offsets = -hull.equations[:, 3]
 
     # Orient every simplex counterclockwise around its outward normal.
-    simplices = []
-    for k, tri in enumerate(hull.simplices):
-        a, b, c = (pts[i] for i in tri)
-        if np.cross(b - a, c - a) @ normals[k] < 0.0:
-            tri = tri[[0, 2, 1]]
-        simplices.append(tuple(int(i) for i in tri))
+    tri = hull.simplices
+    a, b, c = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
+    flip = _rowdot(_cross3(b - a, c - a), np.ascontiguousarray(normals)) < 0.0
+    simplices = list(map(tuple, np.where(flip[:, None], tri[:, [0, 2, 1]], tri).tolist()))
 
     # Merge near-parallel adjacent facets.
     pairs = []

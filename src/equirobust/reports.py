@@ -41,20 +41,61 @@ class RobustnessReport:
         return json_dumps_g17(self.as_dict())
 
 
-_SENTINEL = ""  # private-use char; never appears in report content
+def json_dumps_g17(obj: Any, indent: Optional[int] = 2) -> str:
+    """JSON text with every float value rendered at 17 significant digits.
 
+    Otherwise the text is ``json.dumps(obj, indent=indent,
+    ensure_ascii=False)``: the same layout and separators, dict keys
+    converted the same way (a float key keeps ``json``'s spelling) and the
+    same ``TypeError`` for a key or value it cannot write.  A float value
+    is written as ``fmt_g17`` gives it, ``inf`` and ``nan`` included."""
+    parts: list[str] = []
+    emit = parts.append
+    comma = "," if indent is not None else ", "
 
-def json_dumps_g17(obj: Any, indent: int = 2) -> str:
-    """JSON text with every float rendered at 17 significant digits."""
-
-    def convert(o: Any) -> Any:
+    def write(o: Any, level: int) -> None:
         if isinstance(o, float):
-            return f"{_SENTINEL}{fmt_g17(o)}{_SENTINEL}"
-        if isinstance(o, dict):
-            return {k: convert(v) for k, v in o.items()}
-        if isinstance(o, (list, tuple)):
-            return [convert(v) for v in o]
-        return o
+            emit(fmt_g17(o))
+        elif isinstance(o, str):
+            emit(_encode_str(o))
+        elif isinstance(o, (dict, list, tuple)):
+            is_dict = isinstance(o, dict)
+            if not o:
+                emit("{}" if is_dict else "[]")
+                return
+            pad = end = ""
+            if indent is not None:
+                pad, end = "\n" + " " * (indent * (level + 1)), "\n" + " " * (indent * level)
+            emit(("{" if is_dict else "[") + pad)
+            for i, item in enumerate(o.items() if is_dict else o):
+                if i:
+                    emit(comma + pad)
+                if is_dict:
+                    key, item = item
+                    emit(_encode_str(key if isinstance(key, str) else _key(key)) + ": ")
+                write(item, level + 1)
+            emit(end + ("}" if is_dict else "]"))
+        elif o is None or o is True or o is False:
+            emit(_CONSTANTS[o])
+        elif isinstance(o, int):
+            emit(int.__repr__(o))
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
-    text = json.dumps(convert(obj), indent=indent, ensure_ascii=False)
-    return text.replace(f'"{_SENTINEL}', "").replace(f'{_SENTINEL}"', "")
+    write(obj, 0)
+    return "".join(parts)
+
+
+_encode_str = json.encoder.encode_basestring
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _key(key: Any) -> str:
+    """A dict key that is not a string, as ``json`` writes it."""
+    if isinstance(key, float):
+        return json.encoder.JSONEncoder().encode(key)
+    if key is None or key is True or key is False:
+        return _CONSTANTS[key]
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")

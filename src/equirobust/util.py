@@ -57,8 +57,10 @@ def rotation_from_seed(seed: int) -> np.ndarray:
 _EXIT_COARSE_STEPS = 128
 _EXIT_VERIFY_STEPS = 512
 _EXIT_BATCH_POINTS = 4096
-#: Cells (rows x faces, rows x slots or rows x grid steps) per block of the
-#: ray tables below; a block's float temporaries take 128 kB each.
+#: Cells per block of the ray tables below: directions x slots while a table
+#: is built, faces while brackets split them, events while a grid is read
+#: and rows x grid steps per fallback call; a block's temporaries take about
+#: 128 kB each.
 _RAY_BLOCK_CELLS = 1 << 14
 #: Unit roundoff of float64; the ray tables' rounding bounds count in it.
 _UNIT_ROUNDOFF = 2.0**-53
@@ -160,46 +162,86 @@ def ray_intervals(
     return RayTable(np.concatenate([t.bounds for t in parts], axis=1), np.concatenate([[0], np.cumsum(sizes)]))
 
 
-def _ray_counts(table: RayTable, steps: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The table's count at each query ``(steps[i], rows[i])``, and whether
-    the table leaves it undecided."""
-    sizes = np.diff(table.ptr)
-    counts = np.empty(len(steps), dtype=int)
-    undecided = np.empty(len(steps), dtype=bool)
-    block = max(1, _RAY_BLOCK_CELLS // max(1, int(sizes.max(initial=0))))
-    for i in range(0, len(steps), block):
-        n = sizes[rows[i : i + block]]
-        query = np.repeat(np.arange(len(n)), n)
-        cell = np.arange(len(query)) + np.repeat(table.ptr[rows[i : i + block]] - (np.cumsum(n) - n), n)
-        lo_out, lo_in, hi_in, hi_out = table.bounds[:, cell]
-        s = steps[i : i + block][query]
-        inside = np.bincount(query[(lo_in < s) & (s < hi_in)], minlength=len(n))
-        within = np.bincount(query[(lo_out <= s) & (s <= hi_out)], minlength=len(n))
-        counts[i : i + block] = inside
-        undecided[i : i + block] = within > inside
-    return counts, undecided
+# Per event kind of ``_grid_segments``: how it moves the faces counting
+# (inside) and the faces not certainly absent (within).
+_EVENT_INSIDE = np.array([0, 1, -1, 0, 0])
+_EVENT_WITHIN = np.array([0, 0, 0, 1, -1])
 
 
-def _grid_counts(table: RayTable, first: int, stop: int, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The table's counts at every step of a sorted ``grid`` for rows
-    ``first:stop``, (rows, steps), and where the table leaves them undecided.
+def _grid_segments(table: RayTable, first: int, stop: int, grid: np.ndarray):
+    """Rows ``first:stop`` of ``table`` read on a sorted ``grid``, as runs of
+    steps on which a row's count and its undecided faces stay the same.
 
-    Each interval is located in the grid with ``searchsorted``; a difference
-    array over grid indices, summed with ``cumsum``, counts them."""
-    n_rows, n = stop - first, len(grid)
+    A face counts on the grid indices ``[a, b)`` between its ``lo_in`` and
+    ``hi_in`` and is not certainly absent on ``[c, d)`` between ``lo_out``
+    and ``hi_out``, four ``searchsorted``s.  One sort of (row, index) event
+    keys, with a no-op key at each row's index 0, and a ``cumsum`` per tally
+    give every segment in row-major order: its row (counted from
+    ``first``), its first and end steps, the faces counting on it
+    (``inside``) and those not certainly absent (``within``); it is
+    undecided where ``within > inside``."""
+    n = len(grid)
     ptr = table.ptr[first : stop + 1]
     lo_out, lo_in, hi_in, hi_out = table.bounds[:, ptr[0] : ptr[-1]]
-    base = np.repeat(np.arange(n_rows) * (n + 1), np.diff(ptr))
-    size = n_rows * (n + 1)
-
-    def tally(start: np.ndarray, end: np.ndarray) -> np.ndarray:
-        diff = np.bincount(base + start, minlength=size) - np.bincount(base + end, minlength=size)
-        return diff.reshape(n_rows, n + 1).cumsum(axis=1)[:, :n]
-
+    at = np.repeat(np.arange(stop - first) * (n + 1), np.diff(ptr))  # each face's row (n + 1)
     start = np.searchsorted(grid, lo_in, side="right")
-    inside = tally(start, np.maximum(start, np.searchsorted(grid, hi_in, side="left")))
-    within = tally(np.searchsorted(grid, lo_out, side="left"), np.searchsorted(grid, hi_out, side="right"))
-    return inside, within > inside
+    # A key is 8 (row (n + 1) + index) plus the event's kind.
+    keys = np.concatenate(
+        [
+            np.arange(stop - first) * (8 * (n + 1)),
+            8 * (at + start) + 1,
+            8 * (at + np.maximum(start, np.searchsorted(grid, hi_in, side="left"))) + 2,
+            8 * (at + np.searchsorted(grid, lo_out, side="left")) + 3,
+            8 * (at + np.searchsorted(grid, hi_out, side="right")) + 4,
+        ]
+    )
+    keys.sort()
+    inside = np.cumsum(_EVENT_INSIDE[keys & 7])
+    within = np.cumsum(_EVENT_WITHIN[keys & 7])
+    pos = keys >> 3
+    last = np.append(pos[1:] != pos[:-1], True)
+    seg_row, seg_start = np.divmod(pos[last], n + 1)
+    new_row = np.append(seg_row[1:] != seg_row[:-1], True)
+    seg_end = np.where(new_row, n, np.append(seg_start[1:], n))
+    return seg_row, seg_start, seg_end, inside[last], within[last]
+
+
+def _bracket_faces(table: RayTable, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Split each row's faces against its closed bracket ``[lo, hi]``.
+
+    A face with ``lo_in < lo`` and ``hi_in > hi`` counts on all of it, one
+    with ``hi_in <= lo`` or ``lo_in >= hi`` never does, and then the band
+    ``[lo_out, hi_out]`` where it is undecided covers the bracket or misses
+    it, or neither.  Returns per row the count of the faces that count
+    throughout, whether a face is undecided throughout, and the bounds of
+    the faces that can change inside the bracket, (4, rows, c) padded with
+    NaN, which no comparison passes.  The faces are split in blocks of
+    about ``_RAY_BLOCK_CELLS``."""
+    sizes = table.ptr[rows + 1] - table.ptr[rows]
+    base = np.zeros(len(rows), dtype=int)
+    unsure = np.zeros(len(rows), dtype=bool)
+    owners, kept = [np.zeros(0, dtype=int)], [np.zeros((4, 0))]
+    block = max(1, _RAY_BLOCK_CELLS // max(1, int(sizes.max(initial=0))))
+    for i in range(0, len(rows), block):
+        n = sizes[i : i + block]
+        owner = np.repeat(np.arange(i, i + len(n)), n)
+        cell = np.arange(len(owner)) + np.repeat(table.ptr[rows[i : i + block]] - (np.cumsum(n) - n), n)
+        bounds = table.bounds[:, cell]
+        lo_out, lo_in, hi_in, hi_out = bounds
+        a, b = lo[owner], hi[owner]
+        counts = (lo_in < a) & (hi_in > b)
+        never = (hi_in <= a) | (lo_in >= b)
+        covers = never & (lo_out <= a) & (hi_out >= b)
+        change = ~(counts | covers | (never & ((hi_out < a) | (lo_out > b))))
+        base += np.bincount(owner[counts], minlength=len(rows))
+        unsure[owner[covers]] = True
+        owners.append(owner[change])
+        kept.append(bounds[:, change])
+    owner = np.concatenate(owners)
+    per_row = np.bincount(owner, minlength=len(rows))
+    faces = np.full((4, len(rows), int(per_row.max(initial=0))), np.nan)
+    faces[:, owner, np.arange(len(owner)) - (np.cumsum(per_row) - per_row)[owner]] = np.concatenate(kept, axis=1)
+    return base, unsure, faces
 
 
 def first_exit_distances(
@@ -223,19 +265,23 @@ def first_exit_distances(
     is bisected in turn.  Directions with no observed change return ``s_max``.
 
     ``table`` is the count's table from :func:`ray_intervals`, one row per
-    direction.  Every grid, coarse or verifying, is shared by all rows, so
-    all of its counts are read at once (see ``_grid_counts``) and a row's
-    first bad step is one ``argmax``; the bisection reads each query's count
-    from the table.  Only a query that the table leaves undecided goes to
-    ``count_batch``, which stays the fallback: a grid asks it for a row's
-    undecided steps below that row's first certainly bad one.  The brackets,
-    and so the distances, equal those of a walk that asks ``count_batch``
-    for one step at a time; a fallback query is formed exactly as that walk
-    forms it, and the calls hold at most ``_EXIT_BATCH_POINTS`` points.
+    direction.  A row's count changes only where one of its face intervals
+    ends, so each grid is read from per-row event lists (see
+    ``_grid_segments``): a row's first bad step starts the first run of
+    steps on which the table decides a count other than ``target_count``.
+    A bisection splits each row's faces once against its bracket (see
+    ``_bracket_faces``); each step then tests only the faces that can
+    change inside it.  Only a query that the table leaves undecided goes to
+    ``count_batch``, which stays the fallback: a grid asks it for each
+    row's undecided steps below that row's first certainly bad one, in
+    row-major order, each call within one block of ``_RAY_BLOCK_CELLS //
+    (steps + 1)`` rows.  The brackets, and so the distances, equal those of
+    a walk that asks ``count_batch`` for one step at a time; a fallback
+    query is formed exactly as that walk forms it, and the calls hold at
+    most ``_EXIT_BATCH_POINTS`` points.
     """
     directions = np.asarray(directions, dtype=float)
     m = directions.shape[0]
-    all_rows = np.arange(m)
     lo = np.zeros(m)
     hi = np.full(m, np.inf)  # finite once a row's crossing is bracketed
 
@@ -247,33 +293,65 @@ def first_exit_distances(
         return counts
 
     def first_bad(grid: np.ndarray) -> np.ndarray:
-        # Per row, the first grid step below its ``hi`` where the count
-        # differs, or -1: the step a one-step-at-a-time walk stops at.
+        # Per row, the first grid step where the count differs, or -1: the
+        # step a one-step-at-a-time walk stops at.  Every grid lies below
+        # every row's ``hi``.
         n = len(grid)
         first = np.full(m, -1)
-        block = max(1, _RAY_BLOCK_CELLS // (n + 1))
-        for i in range(0, m, block):
-            rows = all_rows[i : i + block]
-            counts, undecided = _grid_counts(table, i, i + len(rows), grid)
-            live = grid < hi[rows, None]
-            bad = live & ~undecided & (counts != target_count)
-            stop = np.where(bad.any(axis=1), bad.argmax(axis=1), n)
-            ask_r, ask_k = np.nonzero(live & undecided & (np.arange(n) < stop[:, None]))
-            bad[ask_r, ask_k] = scalar(grid[ask_k], rows[ask_r]) != target_count
-            first[rows] = np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
+        stop = np.full(m, n)
+        asks = []
+        i = 0
+        while i < m:
+            # Rows whose faces give about _RAY_BLOCK_CELLS events.
+            j = max(i + 1, int(np.searchsorted(table.ptr, table.ptr[i] + _RAY_BLOCK_CELLS // 4, side="right")) - 1)
+            row, start, end, inside, within = _grid_segments(table, i, j, grid)
+            row += i
+            # A row's first decided bad segment ends its walk.
+            bad = (start < end) & (inside == within) & (inside != target_count)
+            bad_row, bad_start = row[bad], start[bad]
+            lead = bad_row != np.append(-1, bad_row[:-1])
+            stop[bad_row[lead]] = first[bad_row[lead]] = bad_start[lead]
+            # Its undecided steps below that go to the fallback.
+            end = np.minimum(end, stop[row])
+            ask = (within > inside) & (start < end)
+            asks.append((row[ask], start[ask], end[ask]))
+            i = j
+        row, start, end = (np.concatenate(c) for c in zip(*asks))
+        size = end - start
+        ask_r = np.repeat(row, size)
+        ask_k = np.arange(len(ask_r)) + np.repeat(start - (np.cumsum(size) - size), size)
+        # In row-major order, each call within one block of
+        # _RAY_BLOCK_CELLS // (n + 1) rows, as a dense read of the grid asks.
+        hit = np.zeros(len(ask_r), dtype=bool)
+        cut = np.unique(ask_r // max(1, _RAY_BLOCK_CELLS // (n + 1)), return_index=True)[1].tolist()
+        for a, b in zip(cut, cut[1:] + [len(ask_r)]):
+            hit[a:b] = scalar(grid[ask_k[a:b]], ask_r[a:b]) != target_count
+        hit_r, hit_k = ask_r[hit], ask_k[hit]
+        lead = hit_r != np.append(-1, hit_r[:-1])
+        first[hit_r[lead]] = hit_k[lead]
         return first
 
     def bisect(rows: np.ndarray) -> None:
+        a, b = lo[rows], hi[rows]
+        base, unsure, faces = _bracket_faces(table, rows, a, b)
         for _ in range(200):
-            active = rows[(hi[rows] - lo[rows]) > tol]
-            if len(active) == 0:
-                break
-            mid = 0.5 * (lo[active] + hi[active])
-            counts, undecided = _ray_counts(table, mid, active)
-            counts[undecided] = scalar(mid[undecided], active[undecided])
+            live = (b - a) > tol
+            if not live.all():
+                lo[rows], hi[rows] = a, b
+                rows, a, b, base, unsure, faces = rows[live], a[live], b[live], base[live], unsure[live], faces[:, live]
+                if len(rows) == 0:
+                    return
+            mid = 0.5 * (a + b)
+            s = mid[:, None]
+            lo_out, lo_in, hi_in, hi_out = faces
+            inside = (lo_in < s) & (s < hi_in)
+            counts = base + np.count_nonzero(inside, axis=1)
+            undecided = unsure | ((lo_out <= s) & (s <= hi_out) & ~inside).any(axis=1)
+            if undecided.any():
+                counts[undecided] = scalar(mid[undecided], rows[undecided])
             bad = counts != target_count
-            hi[active[bad]] = mid[bad]
-            lo[active[~bad]] = mid[~bad]
+            a, b = np.where(bad, a, mid), np.where(bad, mid, b)
+        lo[rows], hi[rows] = a, b
 
     # The coarse grid out to s_max, then up to three verification grids below
     # the best crossing so far.  The stepwise walk forms a coarse bracket's

@@ -80,6 +80,22 @@ class TestConstruction:
         with pytest.raises(NonConvexInput):
             polyhedron_new(verts, octa.faces)
 
+    def test_first_failing_face_raises_its_first_failing_check(self):
+        # A cube with vertex 7 pulled out to (1.3, 1.3, 1.3): the top
+        # triangle (4, 5, 6) is planar but 7 lies outside its plane, and the
+        # x = 1 quad through 7 is no longer planar.  The faces are checked
+        # in order, each through area, planarity, the interior point and
+        # convexity, so an earlier face's later check wins.
+        verts = [(x, y, z) for z in (0, 1) for y in (0, 1) for x in (0, 1)]
+        verts[7] = (1.3, 1.3, 1.3)
+        triangle, quad, bottom, left = [4, 5, 6], [1, 3, 7, 5], [0, 1, 3, 2], [0, 2, 6, 4]
+        with pytest.raises(NonConvexInput, match=r"^a vertex lies outside the plane of face 0$"):
+            polyhedron_new(verts, [triangle, bottom, quad, left])
+        with pytest.raises(DegenerateInput, match=r"^face 1 is not planar$"):
+            polyhedron_new(verts, [bottom, quad, triangle, left])
+        with pytest.raises(DegenerateInput, match=r"^face 2 is degenerate \(near-zero area\)$"):
+            polyhedron_new(verts, [bottom, left, [0, 1, 2, 3], triangle, quad])  # a bowtie
+
     def test_unused_vertex_rejected(self):
         verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (9, 9, 9)]
         faces = [[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]]

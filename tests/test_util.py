@@ -87,6 +87,109 @@ def _first_exit_stepwise(count_batch, origin, directions, target_count, s_max, t
     return np.where(found, hi, s_max), rounds
 
 
+def _ray_counts(table, steps, rows):
+    """Dense reference: the table's count at each query ``(steps[i],
+    rows[i])``, and whether the table leaves it undecided, from every face
+    of the query's row."""
+    sizes = np.diff(table.ptr)
+    counts = np.empty(len(steps), dtype=int)
+    undecided = np.empty(len(steps), dtype=bool)
+    block = max(1, util._RAY_BLOCK_CELLS // max(1, int(sizes.max(initial=0))))
+    for i in range(0, len(steps), block):
+        n = sizes[rows[i : i + block]]
+        query = np.repeat(np.arange(len(n)), n)
+        cell = np.arange(len(query)) + np.repeat(table.ptr[rows[i : i + block]] - (np.cumsum(n) - n), n)
+        lo_out, lo_in, hi_in, hi_out = table.bounds[:, cell]
+        s = steps[i : i + block][query]
+        inside = np.bincount(query[(lo_in < s) & (s < hi_in)], minlength=len(n))
+        within = np.bincount(query[(lo_out <= s) & (s <= hi_out)], minlength=len(n))
+        counts[i : i + block] = inside
+        undecided[i : i + block] = within > inside
+    return counts, undecided
+
+
+def _grid_counts(table, first, stop, grid):
+    """Dense reference: the table's counts at every step of a sorted
+    ``grid`` for rows ``first:stop``, (rows, steps), and where the table
+    leaves them undecided, from a difference array over grid indices."""
+    n_rows, n = stop - first, len(grid)
+    ptr = table.ptr[first : stop + 1]
+    lo_out, lo_in, hi_in, hi_out = table.bounds[:, ptr[0] : ptr[-1]]
+    base = np.repeat(np.arange(n_rows) * (n + 1), np.diff(ptr))
+    size = n_rows * (n + 1)
+
+    def tally(start, end):
+        diff = np.bincount(base + start, minlength=size) - np.bincount(base + end, minlength=size)
+        return diff.reshape(n_rows, n + 1).cumsum(axis=1)[:, :n]
+
+    start = np.searchsorted(grid, lo_in, side="right")
+    inside = tally(start, np.maximum(start, np.searchsorted(grid, hi_in, side="left")))
+    within = tally(np.searchsorted(grid, lo_out, side="left"), np.searchsorted(grid, hi_out, side="right"))
+    return inside, within > inside
+
+
+def _dense_walk(count_batch, origin, directions, target_count, s_max, tol, table):
+    """Reference: ``first_exit_distances`` reading each grid as dense
+    (rows, steps) counts and each bisection step from every face of its row."""
+    directions = np.asarray(directions, dtype=float)
+    m = directions.shape[0]
+    all_rows = np.arange(m)
+    lo = np.zeros(m)
+    hi = np.full(m, np.inf)
+
+    def scalar(steps, rows):
+        counts = np.empty(len(steps), dtype=int)
+        for i in range(0, len(steps), util._EXIT_BATCH_POINTS):
+            part = slice(i, i + util._EXIT_BATCH_POINTS)
+            counts[part] = count_batch(origin[None, :] + steps[part, None] * directions[rows[part]])
+        return counts
+
+    def first_bad(grid):
+        n = len(grid)
+        first = np.full(m, -1)
+        block = max(1, util._RAY_BLOCK_CELLS // (n + 1))
+        for i in range(0, m, block):
+            rows = all_rows[i : i + block]
+            counts, undecided = _grid_counts(table, i, i + len(rows), grid)
+            live = grid < hi[rows, None]
+            bad = live & ~undecided & (counts != target_count)
+            stop = np.where(bad.any(axis=1), bad.argmax(axis=1), n)
+            ask_r, ask_k = np.nonzero(live & undecided & (np.arange(n) < stop[:, None]))
+            bad[ask_r, ask_k] = scalar(grid[ask_k], rows[ask_r]) != target_count
+            first[rows] = np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
+        return first
+
+    def bisect(rows):
+        for _ in range(200):
+            active = rows[(hi[rows] - lo[rows]) > tol]
+            if len(active) == 0:
+                break
+            mid = 0.5 * (lo[active] + hi[active])
+            counts, undecided = _ray_counts(table, mid, active)
+            counts[undecided] = scalar(mid[undecided], active[undecided])
+            bad = counts != target_count
+            hi[active[bad]] = mid[bad]
+            lo[active[~bad]] = mid[~bad]
+
+    grid = np.linspace(0.0, 1.0, util._EXIT_COARSE_STEPS + 1)[1:] * s_max
+    below = grid / s_max * s_max
+    for verify in range(4):
+        if verify:
+            best = float(hi.min(initial=s_max))
+            if best <= tol:
+                break
+            grid = below = np.linspace(0.0, best, util._EXIT_VERIFY_STEPS + 1)[1:-1]
+        k = first_bad(grid)
+        sel = np.nonzero(k >= 0)[0]
+        if verify and len(sel) == 0:
+            break
+        k = k[sel]
+        lo[sel] = np.where(k > 0, below[k - 1], 0.0)
+        hi[sel] = grid[k]
+        bisect(sel)
+    return np.minimum(hi, s_max)
+
+
 def _recording(count_batch):
     sizes = []
 
@@ -95,6 +198,16 @@ def _recording(count_batch):
         return count_batch(pts)
 
     return wrapped, sizes
+
+
+def _recording_points(count_batch):
+    calls = []
+
+    def wrapped(pts):
+        calls.append(np.array(pts))
+        return count_batch(pts)
+
+    return wrapped, calls
 
 
 def _plain_walk(count_batch, origin, directions, target_count, s_max, tol):
@@ -212,7 +325,7 @@ def _near_bounds(table, s_max, k=12):
 def _table_agrees(count, table, origin, dirs, steps, rows):
     """Number of queries the table decides, after checking that every one
     of them equals the scalar count of the point the walk would form."""
-    counts, undecided = util._ray_counts(table, steps, rows)
+    counts, undecided = _ray_counts(table, steps, rows)
     scalar = count(origin[None, :] + steps[:, None] * dirs[rows])
     assert np.array_equal(counts[~undecided], scalar[~undecided])
     return int(np.count_nonzero(~undecided))
@@ -293,3 +406,129 @@ class TestRayTables:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+def _planted_rays(rng, m, faces, steps):
+    """A table, and a count it certifies, with what an event read must get
+    right: bounds exactly on ``steps``, empty faces (``lo_in = hi_in =
+    lo_out``), infinite bounds, rows with no faces and undecided bands up
+    to a unit wide.  Rays run along ``(1, r)`` from the origin, so a point
+    ``(s, s·r)`` gives back its step and row exactly; each face counts on
+    the open interval between one end of each undecided band."""
+
+    def bound():
+        exact = rng.random((m, faces)) < 0.4
+        return np.where(exact, rng.choice(steps, (m, faces)), rng.uniform(-0.5, steps[-1] + 0.5, (m, faces)))
+
+    def pad():
+        r = rng.random((m, faces))
+        return np.where(r < 0.3, 0.0, np.where(r < 0.6, rng.uniform(0.0, 0.05, (m, faces)), rng.uniform(0.0, 1.0, (m, faces))))
+
+    lo_in, hi_in = np.sort([bound(), bound()], axis=0)
+    lo_out, hi_out = lo_in - pad(), hi_in + pad()
+    # Outer bounds exactly on the step next to the inner one.
+    snap = rng.random((m, faces)) < 0.2
+    k = np.clip(np.searchsorted(steps, lo_in, side="right") - 1, 0, len(steps) - 1)
+    lo_out[snap] = np.minimum(steps[k], lo_in)[snap]
+    k = np.clip(np.searchsorted(steps, hi_in, side="left"), 0, len(steps) - 1)
+    hi_out[snap] = np.maximum(steps[k], hi_in)[snap]
+    low = rng.random((m, faces)) < 0.1
+    lo_out[low] = lo_in[low] = -np.inf
+    high = rng.random((m, faces)) < 0.1
+    hi_in[high] = hi_out[high] = np.inf
+    t_lo = np.where(rng.random((m, faces)) < 0.5, lo_out, lo_in)
+    t_hi = np.where(rng.random((m, faces)) < 0.5, hi_in, hi_out)
+    empty = (rng.random((m, faces)) < 0.15) & np.isfinite(lo_out)
+    lo_in[empty] = hi_in[empty] = t_lo[empty] = lo_out[empty]
+    t_hi[empty] = np.where(rng.random(np.count_nonzero(empty)) < 0.5, lo_out[empty], hi_out[empty])
+    lo_out[3::7] = np.inf  # rows with no faces
+    t_lo[lo_out == np.inf] = np.inf
+
+    def count(pts):
+        s = pts[:, 0]
+        rows = np.rint(pts[:, 1] / s).astype(int)
+        return np.count_nonzero((t_lo[rows] < s[:, None]) & (s[:, None] < t_hi[rows]), axis=1)
+
+    table = RayTable.from_dense(np.stack([lo_out, lo_in, hi_in, hi_out]))
+    assert (np.diff(table.ptr) == 0).any() and np.isinf(table.bounds).any()
+    return table, count, np.column_stack([np.ones(m), np.arange(m, dtype=float)])
+
+
+_STEPS = np.arange(1, 129) / 16  # the coarse grid for s_max = 8, exactly
+
+
+class TestEventReads:
+    def test_grid_segments_match_dense_counts(self):
+        rng = np.random.default_rng(21)
+        table, _, _ = _planted_rays(rng, 60, 5, _STEPS)
+        for grid in (_STEPS, np.sort(rng.uniform(-1.0, 9.0, 300)), _STEPS[:7]):
+            n = len(grid)
+            for first, stop in [(0, 60), (0, 1), (17, 41)]:
+                row, start, end, inside, within = util._grid_segments(table, first, stop, grid)
+                size = end - start
+                cell = np.repeat(row * n + start - (np.cumsum(size) - size), size) + np.arange(size.sum())
+                # The segments tile every row's steps in row-major order.
+                assert np.array_equal(cell, np.arange((stop - first) * n))
+                want_in, want_und = _grid_counts(table, first, stop, grid)
+                assert np.array_equal(np.repeat(inside, size), want_in.ravel())
+                assert np.array_equal(np.repeat(within > inside, size), want_und.ravel())
+
+    def test_bracket_faces_match_dense_counts(self):
+        rng = np.random.default_rng(22)
+        m = 80
+        table, _, _ = _planted_rays(rng, m, 6, _STEPS)
+        rows = np.arange(m)[rng.random(m) < 0.7]
+        # Narrow brackets, with one end or both on the row's face bounds.
+        lo, hi = np.empty(len(rows)), np.empty(len(rows))
+        for j, r in enumerate(rows):
+            own = np.unique(table.bounds[:, table.ptr[r] : table.ptr[r + 1]])
+            own = own[np.isfinite(own)]
+            x = rng.choice(own) if len(own) and rng.random() < 0.7 else rng.uniform(-1.0, 9.0)
+            w = rng.uniform(0.0, 0.3)
+            lo[j], hi[j] = (x, x + w) if rng.random() < 0.5 else (x - w, x)
+            above = own[own > lo[j]]
+            if len(above) and rng.random() < 0.3:
+                hi[j] = above[0]
+        assert np.isin(lo, table.bounds).sum() > len(rows) // 4 and np.isin(hi, table.bounds).sum() > len(rows) // 4
+        base, unsure, (lo_out, lo_in, hi_in, hi_out) = util._bracket_faces(table, rows, lo, hi)
+        assert lo_in.shape[1] < np.diff(table.ptr).max()  # faces fixed in a bracket drop out
+        # Queries at both ends, at each face bound inside and one ulp either
+        # side of it, and at random steps inside.
+        at = [np.arange(len(rows)), np.arange(len(rows))]
+        steps = [lo, hi]
+        for r in range(len(rows)):
+            b = table.bounds[:, table.ptr[rows[r]] : table.ptr[rows[r] + 1]].ravel()
+            b = np.concatenate([b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), rng.uniform(lo[r], hi[r], 8)])
+            b = b[(b >= lo[r]) & (b <= hi[r])]
+            steps.append(b)
+            at.append(np.full(len(b), r))
+        q, s = np.concatenate(at), np.concatenate(steps)[:, None]
+        inside = (lo_in[q] < s) & (s < hi_in[q])
+        counts = base[q] + np.count_nonzero(inside, axis=1)
+        undecided = unsure[q] | ((lo_out[q] <= s) & (s <= hi_out[q]) & ~inside).any(axis=1)
+        want_counts, want_undecided = _ray_counts(table, s[:, 0], rows[q])
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(undecided, want_undecided)
+        assert undecided.any() and (~undecided).any()
+
+    def test_walk_on_planted_tables_matches_dense_reference(self):
+        rng = np.random.default_rng(23)
+        origin = np.zeros(2)
+        for m, faces, target in [(50, 4, 0), (9, 12, 1), (700, 3, 0)]:
+            table, count, dirs = _planted_rays(rng, m, faces, _STEPS)
+            # Some row has undecided coarse steps below its first decided bad one.
+            inside, undecided = _grid_counts(table, 0, m, _STEPS)
+            bad = ~undecided & (inside != target)
+            stop = np.where(bad.any(axis=1), bad.argmax(axis=1), len(_STEPS))
+            assert (np.count_nonzero(undecided & (np.arange(len(_STEPS)) < stop[:, None]), axis=1) > 1).any()
+            want_batch, want_calls = _recording_points(count)
+            want = _dense_walk(want_batch, origin, dirs, target, 8.0, 1e-6, table)
+            got_batch, got_calls = _recording_points(count)
+            got = first_exit_distances(got_batch, origin, dirs, target, 8.0, 1e-6, table)
+            assert np.array_equal(got, want)
+            assert len(got_calls) == len(want_calls) > 0
+            assert all(np.array_equal(a, b) for a, b in zip(got_calls, want_calls))
+            assert max(map(len, got_calls)) <= util._EXIT_BATCH_POINTS
+            assert np.array_equal(got, _plain_walk(count, origin, dirs, target, 8.0, 1e-6))
+            assert (want < 8.0).any()
+
