@@ -47,10 +47,11 @@ from .geom3d import (
     BoundingBox,
     ConvexPolyhedron3,
     _VOL_REL_FLOOR,
+    _close_pairs,
     _cross3,
     _fan_terms,
-    _may_have_close_pair,
     _merge_distance,
+    _rim_order,
     _rowdot,
     centroid3,
     clip_halfspace3,
@@ -503,44 +504,51 @@ _ULP = 2.0**-52
 class _CutEvaluator3:
     """Relative volume removed and the piece's (S, U) for batches of cuts of one body.
 
-    A call takes k cuts ``m·z <= e`` and returns, cut for cut and bit for bit,
+    The evaluator is built on the body and its families of cuts: row ``f`` of
+    ``M`` is family f's signed normal.  A call ``evaluate(fam, e)`` takes k
+    cuts ``M[fam[i]]·z <= e[i]`` and returns, cut for cut and bit for bit,
     what :func:`clip_halfspace3`, :func:`volume` and :func:`_search_counts`
     give, as three arrays: the relative volume removed (0.0 when the cut
     misses, 1.0 when nothing is left) and the piece's S and U at its own
     centroid (-1 where there is no piece or ``_search_counts`` gives ``None``).
 
-    Each distinct normal is normalized and projected (``s = v @ n``) once,
-    with the clip's own expressions, so every kept/crossing decision and
-    crossing point is the clip's.  The cuts then run in chunks of at most
-    ``_CUT3_CHUNK_CELLS`` (cut, slot) cells.  When no vertex lies within the
-    merge distance of the plane and no two rim points are that close, the
-    clip merges nothing: a piece's faces are the parent's faces in order, each
-    the parent's own face if the cut keeps it whole, else the run of kept
-    tails and crossing points the clip emits, then the rim in the clip's
-    angle order.  Its volume is the same fan summed by the same reduction (a
-    row of cuts with equal triangle counts).  The counts are read at an
-    approximate centroid and kept only when every decision clears its
-    threshold by a rounding bound; a face of tiny area widens that bound.
-    The rim's angles are computed with the clip's own arithmetic, so its
-    order is the clip's order.  A cut with a vertex near the plane, a
-    close pair, a topology other than the plain cut or an uncertain count
-    decision goes through the scalar path, which stays the fallback and the
-    test oracle.
+    Each family's normal is normalized and projected (``s = v @ n``) once, at
+    build time, with the clip's own expressions, so every kept/crossing
+    decision and crossing point is the clip's.  The cuts then run in chunks of
+    at most ``_CUT3_CHUNK_CELLS`` (cut, slot) cells.  When no vertex lies
+    within the merge distance of the plane and no two rim points are that
+    close, the clip merges nothing: a piece's faces are the parent's faces in
+    order, each the parent's own face if the cut keeps it whole, else the run
+    of kept tails and crossing points the clip emits, then the rim in the
+    order of the clip's own kernel, ``_rim_order``.  Its volume is the same fan
+    summed by the same reduction (a row of cuts with equal triangle counts).
+    The counts are read at an approximate centroid and kept only when every
+    decision clears its threshold by a rounding bound; a face of tiny area
+    widens that bound.  A cut with a vertex near the plane, a close pair, a
+    topology other than the plain cut or an uncertain count decision goes
+    through the scalar path, which stays the fallback and the test oracle.
     """
 
-    def __init__(self, P: ConvexPolyhedron3):
+    def __init__(self, P: ConvexPolyhedron3, M):
         self.P = P
+        self.M = np.ascontiguousarray(M, dtype=float).reshape(-1, 3)
         self.vol0 = volume(P)
-        self.normals: dict[bytes, tuple[float, np.ndarray, np.ndarray]] = {}
         v = P.coords
         self.reach = float(np.sqrt((v * v).sum(1)).max())
         # The clip's merge distance, raised far above the rounding of a signed
         # distance or a crossing point.
         self.close = _merge_distance(P) + 2.0**-40 * (self.reach + P.scale)
         # Kept vertices never merge when no two parent vertices are close.
-        self.batched = math.isfinite(self.reach) and not _may_have_close_pair(v, self.close)
+        self.batched = math.isfinite(self.reach) and not len(_close_pairs(v, self.close))
         if not self.batched:
             return
+        # Each family's norm, unit normal and projections as the clip computes
+        # them, row by row: a column of V @ N.T is not always V @ n.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            self.norm = np.array([np.linalg.norm(m) for m in self.M])
+            self.n = self.M / self.norm[:, None]
+            self.base = np.array([v @ n for n in self.n]).reshape(len(self.M), len(v))
+        self.usable = np.isfinite(self.norm) & (self.norm > 0.0)
         # A face the cut leaves whole is the parent's face: its fan terms, its
         # plane and its slots' frames are the parent's.
         t = P.fan_triangles
@@ -555,8 +563,8 @@ class _CutEvaluator3:
         self.by_tail = np.argsort(tails, kind="stable")
         self.tail_start = np.searchsorted(tails[self.by_tail], np.arange(len(v)))
 
-    def __call__(self, m, e) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        m = np.ascontiguousarray(m, dtype=float).reshape(-1, 3)
+    def __call__(self, fam, e) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        fam = np.asarray(fam, dtype=np.intp).reshape(-1)
         e = np.asarray(e, dtype=float).reshape(-1)
         k = len(e)
         rel = np.zeros(k)
@@ -564,22 +572,15 @@ class _CutEvaluator3:
         U = np.full(k, -1)
         scalar = np.ones(k, dtype=bool)
         if self.batched and k:
-            # One normalization and projection per distinct normal, as the clip
-            # computes them (a column of V @ N.T is not always V @ n), kept
-            # for the evaluator's later calls.
-            _, first, which = np.unique(m.view(np.dtype((np.void, 24))).ravel(), return_index=True, return_inverse=True)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                norm, n, base = zip(*map(self._normal, m[first]))
-                norm, n = np.array(norm), np.stack(n)
-                d = e / norm[which]
-                base = np.stack(base)
-                good = np.flatnonzero((np.isfinite(norm) & (norm > 0.0))[which] & np.isfinite(d))
+                d = e / self.norm[fam]
+                good = np.flatnonzero(self.usable[fam] & np.isfinite(d))
                 rows = max(1, _CUT3_CHUNK_CELLS // len(self.P.tails))
                 for lo in range(0, len(good), rows):
                     i = good[lo : lo + rows]
-                    rel[i], S[i], U[i], scalar[i] = self._chunk(n[which[i]], base[which[i]] - d[i, None])
+                    rel[i], S[i], U[i], scalar[i] = self._chunk(self.n[fam[i]], self.base[fam[i]] - d[i, None])
         for i in np.flatnonzero(scalar).tolist():
-            piece = clip_halfspace3(self.P, m[i], e[i])
+            piece = clip_halfspace3(self.P, self.M[fam[i]], e[i])
             if piece is None:
                 rel[i] = 1.0
             elif piece is not self.P:
@@ -588,15 +589,6 @@ class _CutEvaluator3:
                 if counts is not None:
                     S[i], U[i] = counts
         return rel, S, U
-
-    def _normal(self, row: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """A cut normal's norm, unit vector and vertex projections ``v @ n``."""
-        key = row.tobytes()
-        if key not in self.normals:
-            norm = np.linalg.norm(row)
-            n = row / norm
-            self.normals[key] = (norm, n, self.P.coords @ n)
-        return self.normals[key]
 
     def _chunk(self, n: np.ndarray, s: np.ndarray):
         """(rel, S, U, scalar) of cuts with unit normals ``n`` and signed vertex
@@ -660,23 +652,13 @@ class _CutEvaluator3:
         pid = xid[ec, slot_edge[es]]
         pts = np.where(ex[:, None], X[pid], v[tails[es]])
 
-        # The rim in the clip's angle order, from the clip's own bits: the
-        # mean, the spread and the farthest point, then its vector dots
-        # (``_rowdot``) and, per angle coordinate, its matrix-vector product.
+        # The rim in the clip's order, by the clip's own kernel.
         K = int(k.max())
         valid = np.arange(K) < k[:, None]
         rim = np.zeros((q, K, 3))
         rim[xc, kpos] = X
-        spread = np.where(valid[..., None], rim - (rim.sum(1) / k[:, None])[:, None], 0.0)
-        ref = spread[r, np.argmax(np.linalg.norm(spread, axis=2), 1)]
-        ref = ref - _rowdot(ref, n)[:, None] * n
-        rn = np.sqrt(_rowdot(ref, ref))
-        ref = ref / rn[:, None]
-        ang = np.arctan2(
-            np.matmul(spread, _cross3(n, ref)[:, :, None])[..., 0], np.matmul(spread, ref[:, :, None])[..., 0]
-        )
-        order = np.argsort(np.where(valid, ang, np.inf), axis=1, kind="stable")
-        ok = (k >= 3) & (rn > 0.0)
+        order, spans = _rim_order(rim, k, n)
+        ok = (k >= 3) & spans
         # No two rim points within the merge distance.
         d2 = sum((rim[:, :, None, c] - rim[:, None, :, c]) ** 2 for c in range(3))
         ok &= ((d2 > self.close**2) | ~(valid[:, :, None] & valid[:, None, :]) | np.eye(K, dtype=bool)).all((1, 2))
@@ -898,10 +880,10 @@ def plane_truncation_search(
         # A piece at its own centroid keeps a stable face and an unstable vertex.
         return RobustnessReport(kind=kind, value=None, method="search", status="no_reduction_found", details=details)
     normals = fibonacci_sphere(n_normals) @ rotation_from_seed(seed).T
-    evaluate = _CutEvaluator3(P)
 
     # Family 2j is normal j's side +1, family 2j + 1 its side -1.
     M = np.stack([normals, -normals], 1).reshape(-1, 3)
+    evaluate = _CutEvaluator3(P, M)
     E, ends = [], []
     for n in normals:
         lo, hi = P.support_interval(n)
@@ -909,7 +891,7 @@ def plane_truncation_search(
         E += [offs, -offs[::-1]]
         ends += [hi, -lo]
     E, ends = np.array(E), np.array(ends)
-    rel, S, U = evaluate(M.repeat(n_offsets, axis=0), E.ravel())
+    rel, S, U = evaluate(np.arange(len(M)).repeat(n_offsets), E.ravel())
     # (family, e) -> (relative volume removed, S, U), S < 0 for an unusable
     # piece.  A bisection midpoint can repeat a grid cut or a cut of an earlier step.
     keys = zip(np.arange(len(M)).repeat(n_offsets).tolist(), E.ravel().tolist())
@@ -951,7 +933,7 @@ def plane_truncation_search(
                 new += zip(f, (0.5 * (mid + b)).tolist())
             new = [k for k in dict.fromkeys(new) if k not in cache]
             f, e = zip(*new)
-            cache.update(zip(new, zip(*(x.tolist() for x in evaluate(M[list(f)], e)))))
+            cache.update(zip(new, zip(*(x.tolist() for x in evaluate(f, e)))))
         r, s, u = (np.array(c) for c in zip(*(cache[k] for k in keys)))
         ok = s >= 0
         red = ok & np.where(pred[live] == 0, s < S0, u < U0)

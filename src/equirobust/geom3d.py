@@ -9,7 +9,7 @@ are combinatorial rather than artifacts of the triangulation.
 Mass properties use the divergence theorem over face fans.  ``clip_halfspace3``
 intersects with a closed half space, inserting the planar cut face in one
 piece; points closer than the merge tolerance, whether the cut made them or
-the parent already had them, come from one KD-tree query and are merged.
+the parent already had them, come from one sort-and-sweep and are merged.
 Generators produce the shapes used elsewhere: regular (platonic) solids,
 prisms, capped cylinders and ellipsoid meshes.
 
@@ -455,32 +455,30 @@ def _merge_distance(P: ConvexPolyhedron3) -> float:
     return max(P.eps, 1e-13 * P.scale)
 
 
-#: The sweep direction of ``_may_have_close_pair``, a unit vector off every axis
-#: and diagonal, so that few vertices of a regular body share a projection.
+#: The sweep direction of ``_close_pairs``, a unit vector off every axis and
+#: diagonal, so that few vertices of a regular body share a projection.
 _SWEEP = np.array([0.6, 0.64, 0.48])
 
 
-def _may_have_close_pair(v: np.ndarray, r: float) -> bool:
-    """Whether two rows of ``v`` (finite) may lie within ``r`` of each other.
-
-    True whenever ``cKDTree(v).query_pairs(r)`` finds a pair, and perhaps for
-    a pair just beyond ``r``: the radius is widened past the rounding of any
-    distance.  A sort-and-sweep along ``_SWEEP`` measures only the pairs whose
-    projections differ by at most ``r`` and their rounding.
+def _close_pairs(v: np.ndarray, r: float) -> np.ndarray:
+    """The pairs (i, j), as rows, of rows of ``v`` (finite) with ``(d * d).sum()
+    <= r * r``: the test scipy's KD-tree ``query_pairs`` makes, and so its
+    pair set.  A sort-and-sweep along ``_SWEEP`` measures only the pairs whose
+    projections differ by at most ``r``, widened past their rounding.
     """
-    r *= 1.0 + 2.0**-30
     x = v @ _SWEEP
     order = np.argsort(x)
-    x, v = x[order], v[order]
-    slack = r + 2.0**-40 * float(np.abs(v).max(initial=0.0))
+    x, w = x[order], v[order]
+    slack = r * (1.0 + 2.0**-30) + 2.0**-40 * float(np.abs(v).max(initial=0.0))
+    found = [np.empty((0, 2), dtype=np.intp)]
     for k in range(1, len(x)):
         near = np.flatnonzero(x[k:] - x[:-k] <= slack)
         if not len(near):
-            return False
-        d = v[near + k] - v[near]
-        if ((d * d).sum(1) <= r * r).any():
-            return True
-    return False
+            break
+        d = w[near + k] - w[near]
+        near = near[(d * d).sum(1) <= r * r]
+        found.append(np.stack([order[near], order[near + k]], 1))
+    return np.concatenate(found)
 
 
 def clip_halfspace3(
@@ -490,9 +488,9 @@ def clip_halfspace3(
 
     Returns ``P`` itself when the plane misses it, ``None`` when nothing (or
     only a sliver below tolerance) remains.  The cut cross-section is inserted
-    as a single planar face.  One ``cKDTree.query_pairs`` over the points the
-    piece uses finds every pair within the merge tolerance; each cluster of
-    such points becomes its lowest-numbered point.
+    as a single planar face.  Every pair of the points the piece uses within
+    the merge tolerance (``_close_pairs``) joins one cluster, and each cluster
+    becomes its lowest-numbered point.
     """
     n = np.asarray(normal, dtype=float)
     norm = float(np.linalg.norm(n))
@@ -539,18 +537,17 @@ def clip_halfspace3(
 
     # The cut cross-section ring: kept on-plane vertices plus crossing points.
     rim = np.concatenate([np.nonzero(below & (np.abs(s) <= eps))[0], nv + np.arange(len(new_pts))])
-    order = _rim_order(all_pts[rim], n) if len(rim) >= 3 else None
-    if order is not None:
-        runs.append(rim[order])
-        sizes.append([len(rim)])
+    if len(rim) >= 3:
+        order, spans = _rim_order(all_pts[rim][None], np.array([len(rim)]), n[None])
+        if spans[0]:
+            runs.append(rim[order[0]])
+            sizes.append([len(rim)])
     flat = np.concatenate(runs)
     sizes = np.concatenate(sizes)
 
     # Merge points that collapse together (cuts passing close to vertices).
-    from scipy.spatial import cKDTree
-
     used = np.bincount(flat).nonzero()[0]
-    close = cKDTree(all_pts[used]).query_pairs(_merge_distance(P), output_type="ndarray")
+    close = _close_pairs(all_pts[used], _merge_distance(P))
     if len(close):
         flat, sizes = _merge_points(flat, sizes, used[close[:, 0]], used[close[:, 1]], len(all_pts))
     if len(sizes) < 4:
@@ -568,19 +565,26 @@ def clip_halfspace3(
     return piece
 
 
-def _rim_order(pts: np.ndarray, n: np.ndarray) -> Optional[np.ndarray]:
-    """Order of the rim points ``pts`` of a cut with unit normal ``n``:
-    counterclockwise around ``n`` by angle from the point farthest from their
-    mean, so that ``n`` is the outward normal of the cut face, matching the
-    kept side n·x <= d.  None when the points span no direction."""
-    spread = pts - pts.mean(axis=0)
-    ref = spread[int(np.argmax(np.linalg.norm(spread, axis=1)))]
-    ref = ref - (ref @ n) * n
-    rn = np.linalg.norm(ref)
-    if not rn > 0.0:
-        return None
-    ref /= rn
-    return np.argsort(np.arctan2(spread @ _cross3(n, ref), spread @ ref), kind="stable")
+def _rim_order(rim: np.ndarray, k: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orders of q cut rims with unit normals ``n`` (q, 3): rim i is the first
+    ``k[i]`` points of ``rim[i]`` (q, K, 3), the rest padding, which sorts
+    last.  Each runs counterclockwise around its ``n`` (the cut face's outward
+    normal, as the kept side is n·x <= d) by angle from its point farthest
+    from their mean.  Also returns, per rim, whether its points span a
+    direction.  A rim's order is the same alone or in a batch.
+    """
+    q, K = rim.shape[:2]
+    valid = np.arange(K) < k[:, None]
+    spread = np.where(valid[..., None], rim - (rim.sum(1) / k[:, None])[:, None], 0.0)
+    ref = spread[np.arange(q), np.argmax(np.linalg.norm(spread, axis=2), 1)]
+    ref = ref - _rowdot(ref, n)[:, None] * n
+    rn = np.sqrt(_rowdot(ref, ref))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref = ref / rn[:, None]
+        ang = np.arctan2(
+            np.matmul(spread, _cross3(n, ref)[:, :, None])[..., 0], np.matmul(spread, ref[:, :, None])[..., 0]
+        )
+    return np.argsort(np.where(valid, ang, np.inf), axis=1, kind="stable"), rn > 0.0
 
 
 def _cluster_roots(n: int, pairs: Iterable[tuple[int, int]]) -> np.ndarray:

@@ -535,10 +535,13 @@ def full_robustness_line_bound(
     ``-lo``.  The last reducing grid cut along ``e`` is the cheapest, and its
     bracket runs one grid step toward the support end, so the grid is read
     from each family's support end down in rounds.  A round is one evaluator
-    chunk, ``_CUT_CHUNK_CELLS // (n + 3)`` cuts, spread evenly over the
-    families with cuts unread and no reducing cut yet, each taking its
-    highest unread offsets; a family leaves once a round finds its first
-    reducing cut.  Every round but the last fills its chunk, and a polygon
+    chunk, ``_CUT_CHUNK_CELLS // (n + 3)`` cuts, over the families with cuts
+    unread and no reducing cut yet: the first that many of their unread cuts
+    taken depth by depth (each family's highest unread offset, then its next,
+    and so on), families in order within a depth, so that the families share
+    the chunk as evenly as their unread cuts allow and the lowest-numbered
+    take the extras; a family leaves once a round finds its first reducing
+    cut.  Every round but the last fills its chunk, and a polygon
     with no reducing cut reads its whole grid.  The brackets are then
     bisected in lockstep.  A batch holds one step's midpoints and, while it
     spans at most ``SPECULATE_CELLS`` cells (three cuts of ``n + 3`` ring
@@ -596,28 +599,15 @@ def full_robustness_line_bound(
     todo = np.arange(len(E))
     r = np.zeros(len(E), dtype=np.intp)
     while len(todo):
-        take = grid_offset - r
-        if take.min() > rows // len(todo):
-            # Each family takes its even share of the chunk, c = rows // A
-            # cuts or c + 1, the extra ones spaced evenly.
-            share = np.arange(len(todo) + 1) * rows // len(todo)
-            take = share[1:] - share[:-1]
-        elif take.sum() > rows:
-            # As above, but a family takes at most its unread cuts: every one
-            # takes up to c cuts, c as large as the chunk allows, and the cuts
-            # left over go one each to families with more unread.  With u the
-            # unread counts in ascending order, c lies in [u[j - 1], u[j])
-            # for the first j where c = u[j] would overfill the chunk.
-            u = np.sort(take)
-            below = np.cumsum(u) - u
-            j = np.searchsorted(below + u * (len(u) - np.arange(len(u))), rows, side="right")
-            c = (rows - below[j]) // (len(u) - j)
-            more = np.flatnonzero(take > c)
-            np.minimum(take, c, out=take)
-            take[more] += np.diff(np.arange(len(more) + 1) * (rows - below[j] - c * len(more)) // len(more))
-        first = np.cumsum(take) - take
-        cell = np.repeat((todo + 1) * grid_offset - 1 - r + first, take) - np.arange(first[-1] + take[-1])
-        f = cell // grid_offset
+        # The first ``rows`` unread cuts in depth-major order (depth ``d``
+        # below each family's last read cut), then in family order.
+        d, j = np.nonzero(np.arange(grid_offset)[:, None] < grid_offset - r)
+        d, j = d[:rows], j[:rows]
+        by_family = np.argsort(j, kind="stable")
+        d, j = d[by_family], j[by_family]
+        take = np.bincount(j, minlength=len(todo))
+        f = todo[j]
+        cell = (f + 1) * grid_offset - 1 - r[j] - d
         kept, counts = evaluate(NX[f], NY[f], flat[cell])
         red = np.flatnonzero((counts >= 0) & (counts < S0))
         if len(red):

@@ -284,9 +284,9 @@ class TestLineGridRounds:
             # incumbent leave the bisection.
             (lambda: regular_ngon(8), (12, 48), [372], [72] + [24] * 5 + [8]),
             (lambda: regular_ngon(64), (12, 48), [61], [24] * 8 + [8]),
-            # 585 = 24 x 24 + 9 cuts, then the 12 families without a reducing
-            # cut read the rest of their grids.
-            (unit_square, (12, 48), [585, 283], [60] + [12] * 6 + [4]),
+            # 585 = 24 x 24 + 9 cuts, the extras to families 0 to 8; then the
+            # 12 families without a reducing cut read the rest of their grids.
+            (unit_square, (12, 48), [585, 284], [60] + [12] * 6 + [4]),
             # No cut of this grid reduces S = 4: the whole grid, and no bracket.
             (unit_square, (2, 2), [8], []),
             # No cut can reduce S = 2: the search returns before its grid.

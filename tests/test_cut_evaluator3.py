@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from equirobust import equilib3d, geom3d
+from equirobust import equilib3d
 from equirobust.equilib3d import _CutEvaluator3, _search_counts
 from equirobust.geom3d import (
     centroid3,
@@ -53,10 +53,17 @@ def _fallbacks(monkeypatch) -> list:
     return calls
 
 
+def _evaluate(P, m, e):
+    """The evaluator's rows for the cuts m[i]·z <= e[i], each row of ``m`` its
+    own family."""
+    m = np.asarray(m, dtype=float).reshape(-1, 3)
+    return _CutEvaluator3(P, m)(np.arange(len(m)), e)
+
+
 def _assert_matches(P, m, e):
     """The evaluator's rows equal the scalar path's, value bits included."""
     m = np.asarray(m, dtype=float).reshape(-1, 3)
-    rel, S, U = _CutEvaluator3(P)(m, e)
+    rel, S, U = _evaluate(P, m, e)
     got = [(r.hex(), s, u) for r, s, u in zip(rel.tolist(), S.tolist(), U.tolist())]
     want = []
     for row, x in zip(m, e):
@@ -135,7 +142,7 @@ class TestAgainstScalarPath:
         extra = (0.5 * polyhedron_new(cube, faces).eps, 0.0, 0.0)
         faces_x = [(0, 1, 3, 2), (4, 6, 7, 5), (0, 8, 4, 5, 1), (2, 3, 7, 6), (0, 2, 6, 4, 8), (1, 5, 7, 3)]
         body = polyhedron_new(cube + [extra], faces_x)
-        assert not _CutEvaluator3(body).batched
+        assert not _CutEvaluator3(body, np.zeros((0, 3))).batched
         m, e = _random_cuts(np.random.default_rng(2), body, 4, 5)
         calls = _fallbacks(monkeypatch)
         _assert_matches(body, m, e)
@@ -144,28 +151,17 @@ class TestAgainstScalarPath:
     @pytest.mark.parametrize("body", [platonic("cube"), generator_prism(6, 1.5)], ids=["cube", "prism:6"])
     def test_symmetric_rims_are_ordered_without_the_clip(self, monkeypatch, body):
         # A cut through the centre of a centrally symmetric body has a rim
-        # with a point at angle ±pi from its farthest point; the evaluator's
-        # angles are the clip's bits, so it orders that rim itself.
-        rim_orders = []
-        rim_order = geom3d._rim_order
-
-        def counting(*args):
-            rim_orders.append(args)
-            return rim_order(*args)
-
-        # The clip's ordering code, wherever the evaluator might import it from.
-        monkeypatch.setattr(geom3d, "_rim_order", counting)
-        monkeypatch.setattr(equilib3d, "_rim_order", counting, raising=False)
+        # with a point at angle ±pi from its farthest point; the evaluator
+        # orders that rim with the clip's own kernel, to the clip's bits.
         fallbacks = _fallbacks(monkeypatch)
         normals = fibonacci_sphere(24) @ rotation_from_seed(1).T
         m = np.concatenate([normals, -normals])
         e = m @ np.asarray(centroid3(body))
-        rel, S, U = _CutEvaluator3(body)(m, e)
-        assert len(fallbacks) == len(rim_orders) == 0
+        rel, S, U = _evaluate(body, m, e)
+        assert len(fallbacks) == 0
         got = [(r.hex(), s, u) for r, s, u in zip(rel.tolist(), S.tolist(), U.tolist())]
         want = [(float(r).hex(), s, u) for r, s, u in (_scalar(body, row, x) for row, x in zip(m, e))]
         assert got == want
-        assert len(rim_orders) == len(e)  # the clip orders every rim itself
 
     def test_random_cuts_rarely_fall_back(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -183,20 +179,20 @@ class TestAgainstScalarPath:
 
     def test_empty_batch_and_misses(self):
         P = generator_truncated_cylinder(1, 3)
-        rel, S, U = _CutEvaluator3(P)(np.zeros((0, 3)), [])
+        rel, S, U = _evaluate(P, np.zeros((0, 3)), [])
         assert len(rel) == len(S) == len(U) == 0
         lo, hi = P.support_interval((0.0, 0.0, 1.0))
-        rel, S, U = _CutEvaluator3(P)([(0.0, 0.0, 1.0)] * 2, [hi + 1.0, lo - 1.0])
+        rel, S, U = _evaluate(P, [(0.0, 0.0, 1.0)] * 2, [hi + 1.0, lo - 1.0])
         assert rel.tolist() == [0.0, 1.0] and S.tolist() == U.tolist() == [-1, -1]
 
 
 def test_batch_allocates_little():
     P = generator_ellipsoid_mesh(1, 2, 3, facets=3000)
     m, e = _random_cuts(np.random.default_rng(4), P, 4, 8)
-    evaluate = _CutEvaluator3(P)
+    evaluate = _CutEvaluator3(P, m)
     tracemalloc.start()
     try:
-        rel = evaluate(np.array(m), e)[0]
+        rel = evaluate(np.arange(len(m)), e)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -10,6 +10,7 @@ from equirobust.errors import DegenerateInput, NonConvexInput
 from equirobust.geom3d import (
     _PLATONIC_POINTS,
     ConvexPolyhedron3,
+    _close_pairs,
     _cross3,
     _rowdot,
     aabb,
@@ -344,9 +345,9 @@ def test_rowdot_is_the_vector_dot_bit_for_bit():
 
 
 def test_batched_matrix_vector_is_the_clip_product_bit_for_bit():
-    # The batched 3D evaluator reads its rim angles as
-    # ``np.matmul(spread, c[:, :, None])[..., 0]``, rows padded with zeros to
-    # the longest rim; each rim's prefix must be the clip's ``(k, 3) @ (3,)``.
+    # _rim_order reads its rim angles as ``np.matmul(spread, c[:, :, None])``,
+    # the evaluator's rows padded with zeros to the longest rim; each rim's
+    # prefix must be the product the clip makes of that rim alone.
     rng = np.random.default_rng(19)
     for _ in range(50):
         q, K = int(rng.integers(1, 40)), int(rng.integers(3, 30))
@@ -357,7 +358,56 @@ def test_batched_matrix_vector_is_the_clip_product_bit_for_bit():
         c = rng.standard_normal((q, 3))
         got = np.matmul(spread, c[:, :, None])[..., 0]
         for i in range(q):
-            assert np.array_equal(got[i, : k[i]], spread[i, : k[i]] @ c[i])
+            alone = np.matmul(spread[None, i, : k[i]], c[i, :, None])[0, :, 0]
+            assert np.array_equal(got[i, : k[i]], alone)
+            assert np.array_equal(alone, spread[i, : k[i]] @ c[i])
+
+
+def _planted_points(rng, scale):
+    """Points at ``scale`` and a radius r, with pairs planted r apart along an
+    axis and r (1 ± 1e-15) apart along random unit vectors."""
+    n = int(rng.integers(3, 40))
+    if rng.random() < 0.5:
+        # A dyadic grid, where many squared distances are r * r exactly.
+        step = 2.0 ** np.round(np.log2(scale)) / 8
+        v = rng.integers(-16, 17, (n, 3)) * step
+        r = step * int(rng.integers(1, 9))
+    else:
+        v = rng.standard_normal((n, 3)) * scale
+        r = scale * 10.0 ** rng.uniform(-2, 0)
+    base = v[rng.integers(0, n, 6)]
+    u = rng.standard_normal((4, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    axis = np.eye(3)[rng.integers(0, 3)] * r
+    planted = [base[0] + axis, base[1] - axis]
+    planted += [b + f * r * w for b, f, w in zip(base[2:], (1 - 1e-15, 1.0, 1 + 1e-15, 1 - 1e-15), u)]
+    return np.vstack([v, planted]), r
+
+
+def test_close_pairs_are_the_kd_tree_pairs():
+    # The clip merges the pairs _close_pairs finds; cKDTree.query_pairs, which
+    # the clip used before, is the oracle, ties at exactly r included.
+    from scipy.spatial import cKDTree
+
+    def pair_set(pairs):
+        found = [tuple(sorted(p)) for p in pairs.tolist()]
+        assert len(set(found)) == len(found)
+        return set(found)
+
+    rng = np.random.default_rng(23)
+    ties = 0
+    for e in range(-6, 7):
+        for _ in range(150):
+            v, r = _planted_points(rng, 10.0**e)
+            got = _close_pairs(v, r)
+            assert pair_set(got) == cKDTree(v).query_pairs(r)
+            d = v[got[:, 0]] - v[got[:, 1]]
+            ties += int(((d * d).sum(1) == r * r).sum())
+    assert ties > 1000
+    for n in (0, 1, 2):
+        v = np.random.default_rng(n).standard_normal((n, 3))
+        assert pair_set(_close_pairs(v, 5.0)) == cKDTree(v).query_pairs(5.0)
+        assert _close_pairs(v, 5.0).shape == (n * (n - 1) // 2, 2)
 
 
 class TestTopology:

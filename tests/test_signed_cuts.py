@@ -257,9 +257,9 @@ class TestPlaneSearch:
         cuts = []
         evaluate = equilib3d._CutEvaluator3.__call__
 
-        def recording(self, m, e):
-            cuts.extend((tuple(row), float(x)) for row, x in zip(np.asarray(m).tolist(), e))
-            return evaluate(self, m, e)
+        def recording(self, fam, e):
+            cuts.extend((tuple(row), float(x)) for row, x in zip(self.M[np.asarray(fam)].tolist(), e))
+            return evaluate(self, fam, e)
 
         monkeypatch.setattr(equilib3d._CutEvaluator3, "__call__", recording)
         for body, grid, seed in (
@@ -282,10 +282,9 @@ class TestPlaneSearch:
         at_end = []
         evaluate = equilib3d._CutEvaluator3.__call__
 
-        def recording(self, m, e):
-            m = np.asarray(m)
-            at_end.extend(float(x) == float(np.max(self.P.coords @ row)) for row, x in zip(m, e))
-            return evaluate(self, m, e)
+        def recording(self, fam, e):
+            at_end.extend(float(x) == float(np.max(self.P.coords @ row)) for row, x in zip(self.M[np.asarray(fam)], e))
+            return evaluate(self, fam, e)
 
         monkeypatch.setattr(equilib3d._CutEvaluator3, "__call__", recording)
         for body, grid, seed in (
@@ -304,9 +303,9 @@ class TestPlaneSearch:
         cuts = []
         evaluate = equilib3d._CutEvaluator3.__call__
 
-        def recording(self, m, e):
-            cuts.extend((tuple(row), float(x)) for row, x in zip(np.asarray(m).tolist(), e))
-            return evaluate(self, m, e)
+        def recording(self, fam, e):
+            cuts.extend((tuple(row), float(x)) for row, x in zip(self.M[np.asarray(fam)].tolist(), e))
+            return evaluate(self, fam, e)
 
         monkeypatch.setattr(equilib3d._CutEvaluator3, "__call__", recording)
         for name, grid, seed in (("tetra", (2, 2), 2), ("octa", (4, 4), 1), ("cube", (6, 5), 1)):
@@ -507,14 +506,15 @@ class TestStopRule:
         for shift in (0.0, 1e5):
             for name in ("octa", "dodeca"):
                 P = _shifted3(platonic(name), shift)
-                evaluate = equilib3d._CutEvaluator3(P)
+                normals = fibonacci_sphere(2)
+                evaluate = equilib3d._CutEvaluator3(P, normals)
                 delta = equilib3d._removed_volume_slack(P)
                 worst = 0.0
-                for n in fibonacci_sphere(2):
+                for f, n in enumerate(normals):
                     lo, hi = P.support_interval(n)
                     for c in self._centres(lo, hi, (P.coords @ n)[:2]):
                         e = c + np.linspace(-0.5e-9, 0.5e-9, 200) * (hi - lo)
-                        rel = evaluate(np.repeat(n[None], len(e), axis=0), e)[0]
+                        rel = evaluate(np.full(len(e), f), e)[0]
                         worst = max(worst, float(np.diff(rel).max()))
                 assert worst <= delta
                 seen[name, shift] = worst
