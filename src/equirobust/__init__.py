@@ -36,7 +36,6 @@ from .geom2d import (
 )
 from .equilib2d import EquilibriumPoint2, EquilibriumSet2, equilibria, stable_count
 from .robust2d import (
-    average_robustness,
     dowker_convexity_check,
     full_robustness_line_bound,
     rho_ex_exact,
@@ -120,7 +119,6 @@ __all__ = [
     "sweep_csv",
     "summary_csv",
     "summary_svg",
-    "average_robustness",
     "dowker_convexity_check",
     "ConvexPolyhedron3",
     "BoundingBox",

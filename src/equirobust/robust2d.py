@@ -11,9 +11,8 @@ farther from the reference than both bounding feet.
 
 Full robustness: smallest relative area a single straight cut must remove so
 that the remainder, weighed at its own centroid, has fewer stable points.
-Monte Carlo truncation sweeps and the n-cut average-robustness estimator use
-the motion-invariant line measure (uniform angle, uniform offset across the
-support interval).
+Monte Carlo truncation sweeps use the motion-invariant line measure
+(uniform angle, uniform offset across the support interval).
 
 A side of a cut is a signed normal: the piece on side ``side`` of the line
 ``n·z = d`` is the half plane ``m·z <= e`` with ``m = side·n`` and
@@ -25,8 +24,7 @@ evaluator, ``_CutEvaluator``, which gives the scalar clip-and-classify
 path's results bit for bit and hands it the few cuts it cannot certify.
 Its results stay arrays (stable count -1 for an unusable piece), and a sweep
 is returned as the columns of a ``TruncationSweep``, with ``piece_S = -1``
-for a degenerate piece.  The average-robustness estimator cuts one piece at
-a time on the scalar path.
+for a degenerate piece.
 """
 
 from __future__ import annotations
@@ -269,8 +267,8 @@ def _piece_stable(P: ConvexPolygon2, piece: Optional[ConvexPolygon2]) -> Optiona
     return eq.S
 
 
-#: Floats in one (rows, ring slots) temporary of the batched evaluator: 32 KB.
-_CUT_CHUNK_CELLS = 4096
+#: Floats in one (rows, ring slots) temporary of the batched evaluator: 64 KB.
+_CUT_CHUNK_CELLS = 8192
 #: Largest polygon the batched evaluator takes: its run-diameter table stays under 1 MB.
 _CUT_MAX_VERTICES = 350
 #: Coordinate range it takes, so that no square underflows and no product overflows.
@@ -289,7 +287,10 @@ class _CutEvaluator:
     two arrays: the kept fraction of the area (1.0 when the cut misses, 0.0
     when the piece collapses) and the stable count at the piece's centroid
     (-1 where ``_piece_stable`` gives ``None``).  Rows are evaluated in padded
-    arrays of ``n + 3`` ring slots.
+    arrays of ``n + 3`` ring slots, in chunks of ``_CUT_CHUNK_CELLS // (n + 3)``
+    rows.  The chunk only bounds memory: every row's result is the same
+    whatever the chunk, and callers batch cuts as they choose (the line
+    search's rounds are sized by ``SPECULATE_CELLS``, not by the chunk).
     The kept vertices of a convex polygon form one cyclic run, so a piece's
     ring is that run plus at most two crossing points, laid out from the
     polygon's canonical start; area and centroid are then sequential sums in
@@ -304,8 +305,6 @@ class _CutEvaluator:
     def __init__(self, P: ConvexPolygon2):
         self.P = P
         self.total = P.area
-        # Rows per chunk of the batched pass.
-        self.rows = max(1, _CUT_CHUNK_CELLS // (P.n + 3))
         xy = np.asarray(P.vertices)
         # Vertex i sits in column i + 1, between copies of its cyclic neighbours.
         self.X = np.concatenate([xy[-1:, 0], xy[:, 0], xy[:1, 0]])
@@ -328,9 +327,11 @@ class _CutEvaluator:
         dy = Y[None, :] - Y[:, None]
         dist = dx * dx + dy * dy
         a = np.arange(n)
+        # reach[j, s]: the largest squared distance from j to the s vertices before it.
+        reach = np.maximum.accumulate(dist[a[:, None], (a[:, None] - a) % n], axis=1)
         table = np.zeros((n, n + 1))
-        for l in range(2, n + 1):
-            table[:, l] = np.maximum(np.maximum(table[:, l - 1], table[(a + 1) % n, l - 1]), dist[a, (a + l - 1) % n])
+        # The run of l = s + 1 vertices from a adds vertex a + s to the one of length s.
+        table[:, 1:] = np.maximum.accumulate(reach[(a[:, None] + a) % n, a], axis=1)
         return table
 
     def __call__(self, nx, ny, d) -> tuple[np.ndarray, np.ndarray]:
@@ -340,9 +341,10 @@ class _CutEvaluator:
         count = np.full(m, -1)
         scalar = np.ones(m, dtype=bool)
         if self.batched:
+            rows = _CUT_CHUNK_CELLS // (self.P.n + 3)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                for lo in range(0, m, self.rows):
-                    part = slice(lo, lo + self.rows)
+                for lo in range(0, m, rows):
+                    part = slice(lo, lo + rows)
                     scalar[part] = self._certified(nx[part], ny[part], d[part], kept[part], count[part])
         for i in np.flatnonzero(scalar).tolist():
             piece = clip_halfplane_nd(self.P, nx[i], ny[i], d[i])
@@ -535,14 +537,14 @@ def full_robustness_line_bound(
     ``-lo``.  The last reducing grid cut along ``e`` is the cheapest, and its
     bracket runs one grid step toward the support end, so the grid is read
     from each family's support end down in rounds.  A round is one evaluator
-    chunk, ``_CUT_CHUNK_CELLS // (n + 3)`` cuts, over the families with cuts
-    unread and no reducing cut yet: the first that many of their unread cuts
-    taken depth by depth (each family's highest unread offset, then its next,
-    and so on), families in order within a depth, so that the families share
-    the chunk as evenly as their unread cuts allow and the lowest-numbered
-    take the extras; a family leaves once a round finds its first reducing
-    cut.  Every round but the last fills its chunk, and a polygon
-    with no reducing cut reads its whole grid.  The brackets are then
+    call of ``SPECULATE_CELLS // (n + 3)`` cuts (at least one), over the
+    families with cuts unread and no reducing cut yet: the first that many of
+    their unread cuts taken depth by depth (each family's highest unread
+    offset, then its next, and so on), families in order within a depth, so
+    that the families share the round as evenly as their unread cuts allow
+    and the lowest-numbered take the extras; a family leaves once a round
+    finds its first reducing cut.  Every round but the last is full, and a
+    polygon with no reducing cut reads its whole grid.  The brackets are then
     bisected in lockstep.  A batch holds one step's midpoints and, while it
     spans at most ``SPECULATE_CELLS`` cells (three cuts of ``n + 3`` ring
     slots per live bracket), step two's midpoint on either side of each where
@@ -592,7 +594,7 @@ def full_robustness_line_bound(
     # reducing cut (-1 while none is found) and the relative area that cut
     # removes.  ``todo`` holds the families still reading, ``r`` how many
     # cuts each has read from its support end down.
-    rows = evaluate.rows
+    rows = max(1, SPECULATE_CELLS // (P.n + 3))
     NX, NY, flat = M[:, 0].copy(), M[:, 1].copy(), E.ravel()
     hit = np.full(len(E), -1)
     rel_hit = np.zeros(len(E))
@@ -752,6 +754,13 @@ def _draw_sweep_lines(P: ConvexPolygon2, samples: int, seed: int) -> tuple[np.nd
     return thetas, offsets
 
 
+def _require_positive_count(name: str, value) -> None:
+    if not is_count(value):
+        raise ValueError(f"{name} must be an integer")
+    if value < 1:
+        raise ValueError(f"{name} must be positive")
+
+
 def truncation_sweep(P: ConvexPolygon2, samples: int, seed: int, bins: int = 20) -> tuple[TruncationSweep, SweepSummary]:
     """Monte Carlo truncation sweep recording both pieces of each random line.
 
@@ -761,8 +770,8 @@ def truncation_sweep(P: ConvexPolygon2, samples: int, seed: int, bins: int = 20)
     collapse below tolerance or classify degenerately land in a separate
     ``degenerate`` category.
     """
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    _require_positive_count("samples", samples)
+    _require_positive_count("bins", bins)
     eq0 = equilibria(P, P.centroid)
     thetas, offsets = _draw_sweep_lines(P, samples, seed)
     # math.cos and math.sin, as the scalar path: numpy's may differ in the last bit.
@@ -781,8 +790,7 @@ def summarize_sweep(sweep: TruncationSweep, bins: int = 20) -> SweepSummary:
     The delta-S categories appear in the order the rows first show them, then
     ``"degenerate"`` when any row is degenerate.
     """
-    if bins < 1:
-        raise ValueError("bins must be positive")
+    _require_positive_count("bins", bins)
     b = np.minimum((sweep.relative_area * bins).astype(int), bins - 1)
     bad = sweep.degenerate
     delta, b_ok = sweep.piece_S[~bad] - sweep.S0, b[~bad]
@@ -791,48 +799,6 @@ def summarize_sweep(sweep: TruncationSweep, bins: int = 20) -> SweepSummary:
     if bad.any():
         counts["degenerate"] = np.bincount(b[bad], minlength=bins)
     return SweepSummary(bin_edges=np.linspace(0.0, 1.0, bins + 1), counts=counts, totals=np.bincount(b, minlength=bins))
-
-
-def average_robustness(P: ConvexPolygon2, n: int, samples: int, seed: int) -> float:
-    """Fraction of ``n``-cut random truncation sequences that keep the stable count.
-
-    Each trial applies ``n`` successive random cuts: line from the invariant
-    measure of the current piece, retained side by fair coin.  A trial is
-    neutral when the final piece, at its own centroid, has the same stable
-    count as ``P``; collapsed or degenerate outcomes count as non-neutral.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    eq0 = equilibria(P, P.centroid)
-    S0 = eq0.S
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random((samples, n, 3))
-    neutral = 0
-    for i in range(samples):
-        piece: Optional[ConvexPolygon2] = P
-        ok = True
-        for j in range(n):
-            theta = u[i, j, 0] * math.pi
-            nx, ny = math.cos(theta), math.sin(theta)
-            lo, hi = piece.support_interval(nx, ny)
-            d = lo + u[i, j, 1] * (hi - lo)
-            side = +1 if u[i, j, 2] < 0.5 else -1
-            nxt = clip_halfplane_nd(piece, side * nx, side * ny, side * d)
-            if nxt is None:
-                ok = False
-                break
-            piece = nxt
-        if not ok:
-            continue
-        if piece is P:
-            s: Optional[int] = S0
-        else:
-            s = _piece_stable(P, piece)
-        if s is not None and s == S0:
-            neutral += 1
-    return neutral / samples
 
 
 # -- CSV / SVG emission -----------------------------------------------------

@@ -10,7 +10,9 @@ import numpy as np
 
 #: Most (cut, slot) cells a search's evaluator batch spans when it also takes
 #: the next bisection step's two candidates per live bracket: above this the
-#: extra cuts cost more than the evaluator call they save.
+#: extra cuts cost more than the evaluator call they save.  The 2D line
+#: search's grid rounds span this many too: a larger round reads more cuts
+#: below the families' first reducing cuts.
 SPECULATE_CELLS = 4096
 
 

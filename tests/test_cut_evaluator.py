@@ -17,7 +17,7 @@ from equirobust import robust2d
 from equirobust.cli import main
 from equirobust.equilib2d import equilibria
 from equirobust.errors import DegenerateConfiguration, DegenerateInput
-from equirobust.geom2d import ConvexPolygon2, clip_halfplane_nd, regular_ngon
+from equirobust.geom2d import ConvexPolygon2, _max_pairwise_sq, clip_halfplane_nd, regular_ngon
 from equirobust.reports import RobustnessReport
 from equirobust.robust2d import (
     TruncationSweep,
@@ -29,6 +29,7 @@ from equirobust.robust2d import (
     sweep_csv,
     truncation_sweep,
 )
+from equirobust.util import SPECULATE_CELLS
 
 from conftest import random_convex_polygon, unit_square
 
@@ -250,6 +251,93 @@ class TestAgainstScalarPath:
         assert count_scalar[0] < 0.01 * rows
 
 
+def _block_max_reference(X, Y):
+    """Every cyclic window's largest squared distance, as ``_max_pairwise_sq``
+    forms it (point j minus point i, i before j), from one block-maximum
+    pass per start: the window of l points from a is the leading l x l block."""
+    n = len(X)
+    ref = np.zeros((n, n + 1))
+    for a in range(n):
+        idx = (a + np.arange(n)) % n
+        dx = X[idx][None, :] - X[idx][:, None]
+        dy = Y[idx][None, :] - Y[idx][:, None]
+        D = np.triu(dx * dx + dy * dy, 1)
+        ref[a, 1:] = np.diagonal(np.maximum.accumulate(np.maximum.accumulate(D, 0), 1))
+    return ref
+
+
+class TestRunTable:
+    """``_CutEvaluator._run_table`` against ``_max_pairwise_sq``, bit for bit."""
+
+    @staticmethod
+    def _windows(table, X, Y, starts, lengths):
+        pts = list(zip(X.tolist(), Y.tolist()))
+        n = len(pts)
+        for a in starts:
+            for l in lengths:
+                window = [pts[(a + i) % n] for i in range(l)]
+                assert table[a, l].view(np.int64) == np.float64(_max_pairwise_sq(window)).view(np.int64), (n, a, l)
+
+    @pytest.mark.parametrize("end", [None, 0, 1], ids=["unit", "smallest", "largest"])
+    def test_every_window_of_small_polygons(self, rng, end):
+        lo, hi = robust2d._CUT_SCALE_RANGE
+        for P in _regular_and_random(rng, (3, 4, 5, 6, 7, 8, 12, 17, 24)):
+            xy = np.asarray(P.vertices)
+            # Diameter twice the least, or reach half the most, the evaluator takes.
+            scale = {None: 1.0, 0: 2.0 * lo / P.diameter, 1: 0.5 * hi / np.abs(xy).max()}[end]
+            X, Y = (scale * xy).T
+            n = P.n
+            self._windows(_CutEvaluator._run_table(X, Y), X, Y, range(n), range(n + 1))
+
+    @pytest.mark.parametrize("n", [48, 64, 129, 200, robust2d._CUT_MAX_VERTICES])
+    def test_every_window_of_large_polygons(self, rng, n):
+        # Calling _max_pairwise_sq on all n (n + 1) windows of a 350-gon
+        # would take minutes: every window is read against the block
+        # maximum, and the short, the full and some random windows against
+        # _max_pairwise_sq itself.
+        for P in (regular_ngon(n), random_convex_polygon(rng, n)):
+            X, Y = np.asarray(P.vertices).T
+            table = _CutEvaluator._run_table(X, Y)
+            assert (table.view(np.int64) == _block_max_reference(X, Y).view(np.int64)).all()
+            self._windows(table, X, Y, range(n), range(6))
+            self._windows(table, X, Y, [0, n - 1], [n])
+            for a, l in zip(rng.integers(0, n, 12).tolist(), rng.integers(6, n, 12).tolist()):
+                self._windows(table, X, Y, [a], [l])
+
+
+class TestChunks:
+    """The evaluator's chunk bounds memory only: a batch gives every row the
+    bits that the same cut gives alone, and that the scalar path gives."""
+
+    @pytest.mark.parametrize("n", [3, 64, robust2d._CUT_MAX_VERTICES])
+    def test_batch_over_three_chunks_matches_single_cuts(self, rng, monkeypatch, n):
+        P = regular_ngon(n) if n % 2 else random_convex_polygon(rng, n)
+        rows = robust2d._CUT_CHUNK_CELLS // (n + 3)
+        m = 2 * rows + 5
+        theta = rng.random(m) * math.pi
+        lo, hi = np.array([P.support_interval(math.cos(t), math.sin(t)) for t in theta.tolist()]).T
+        side = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+        nx, ny, d = side * np.cos(theta), side * np.sin(theta), side * (lo + rng.random(m) * (hi - lo))
+        evaluate = _CutEvaluator(P)
+        chunks = []
+        certified = _CutEvaluator._certified
+
+        def recording(self, nx, ny, *rest):
+            chunks.append(len(nx))
+            return certified(self, nx, ny, *rest)
+
+        monkeypatch.setattr(_CutEvaluator, "_certified", recording)
+        kept, counts = evaluate(nx, ny, d)
+        assert chunks == [rows, rows, 5]
+        alone = [evaluate(nx[i : i + 1], ny[i : i + 1], d[i : i + 1]) for i in range(m)]
+        assert (kept.view(np.int64) == np.concatenate([k for k, _ in alone]).view(np.int64)).all()
+        assert (counts == np.concatenate([c for _, c in alone])).all()
+        want = [_evaluate_cut(P, P.area, *cut) for cut in zip(nx.tolist(), ny.tolist(), d.tolist())]
+        assert (kept.view(np.int64) == np.array([k for k, _ in want]).view(np.int64)).all()
+        assert counts.tolist() == [-1 if s is None else s for _, s in want]
+        assert (counts >= 0).sum() > m // 2
+
+
 #: A quadrilateral with S = 2 at its centroid: no cut can reduce it.
 S2_QUAD = [
     [-0.2885191709571862, -0.720929871204851],
@@ -261,7 +349,8 @@ S2_QUAD = [
 
 class TestLineGridRounds:
     """The line search reads each family's grid from its support end down, one
-    evaluator chunk per round, until the family has a reducing cut."""
+    evaluator call of ``SPECULATE_CELLS // (n + 3)`` cuts per round, until the
+    family has a reducing cut."""
 
     @pytest.fixture
     def sizes(self, monkeypatch):
@@ -298,13 +387,13 @@ class TestLineGridRounds:
         P = make()
         got = full_robustness_line_bound(P, *grid, 1e-6)
         assert sizes == rounds + calls
-        assert all(n <= _CutEvaluator(P).rows for n in rounds)
+        assert all(n <= SPECULATE_CELLS // (P.n + 3) for n in rounds)
         assert got.to_json() == _line_bound_reference(P, *grid, 1e-6).to_json()
         assert (got.status == "no_reduction_found") == (calls == [])
 
     def test_scalar_polygon_reads_in_rounds(self, sizes, count_scalar):
         # Above _CUT_MAX_VERTICES every cut takes the scalar path; the rounds
-        # still read the evaluator's chunk of 4096 // 403 = 10 cuts.
+        # still read SPECULATE_CELLS // 403 = 10 cuts.
         P = regular_ngon(400)
         got = full_robustness_line_bound(P, 3, 5, 1e-6)
         assert sizes == [10] + [6] * 16 and count_scalar[0] == sum(sizes)

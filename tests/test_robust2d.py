@@ -11,7 +11,6 @@ from equirobust.geom2d import clip_halfplane_nd, polygon_new, regular_ngon, stri
 from equirobust.robust2d import (
     TruncationSweep,
     _piece_stable,
-    average_robustness,
     dowker_area,
     dowker_convexity_check,
     full_robustness_line_bound,
@@ -460,28 +459,20 @@ class TestSweep:
         with pytest.raises(ValueError):
             summarize_sweep(sweep, bins=0)
 
+    @pytest.mark.parametrize("samples, bins", [(2.5, 20), (True, 20), (4, 2.5), (4, True), (np.float64(4), 20)])
+    def test_counts_must_be_integers(self, samples, bins):
+        with pytest.raises(ValueError, match="^(samples|bins) must be an integer$"):
+            truncation_sweep(unit_square(), samples, 1, bins=bins)
 
-class TestAverageRobustness:
-    def test_single_cut_matches_sweep_fraction(self):
-        sweep, _ = truncation_sweep(unit_square(), 2000, seed=42)
-        frac0 = np.count_nonzero(~sweep.degenerate & (sweep.piece_S == sweep.S0)) / len(sweep)
-        mu1 = average_robustness(unit_square(), 1, 2000, seed=11)
-        assert abs(mu1 - frac0) < 0.05
+    @pytest.mark.parametrize("bins", [2.5, True, np.float64(4)])
+    def test_summary_bins_must_be_an_integer(self, bins):
+        sweep, _ = truncation_sweep(unit_square(), 1, seed=1)
+        with pytest.raises(ValueError, match="^bins must be an integer$"):
+            summarize_sweep(sweep, bins=bins)
 
-    def test_more_cuts_less_neutral(self):
-        mu1 = average_robustness(unit_square(), 1, 1500, seed=11)
-        mu2 = average_robustness(unit_square(), 2, 1500, seed=11)
-        assert mu2 <= mu1 + 0.04
-
-    def test_determinism(self):
-        a = average_robustness(unit_square(), 1, 400, seed=9)
-        b = average_robustness(unit_square(), 1, 400, seed=9)
-        assert a == b
-
-    def test_range_and_validation(self):
-        mu = average_robustness(unit_square(), 1, 200, seed=2)
-        assert 0.0 <= mu <= 1.0
-        with pytest.raises(ValueError):
-            average_robustness(unit_square(), 0, 10, seed=1)
-        with pytest.raises(ValueError):
-            average_robustness(unit_square(), 1, 0, seed=1)
+    def test_numpy_integer_counts_are_accepted(self):
+        sweep, summary = truncation_sweep(unit_square(), np.int64(30), np.int64(3), bins=np.int32(7))
+        want, want_summary = truncation_sweep(unit_square(), 30, 3, bins=7)
+        assert sweep_csv(sweep) == sweep_csv(want)
+        assert summary_csv(summary) == summary_csv(want_summary)
+        assert summary_csv(summarize_sweep(sweep, np.uint8(7))) == summary_csv(want_summary)
