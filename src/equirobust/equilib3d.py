@@ -20,11 +20,11 @@ direction-sampled first-exit search provides an independent check.
 relative volume a single plane cut must remove so that the kept piece, judged
 at its own centroid, has fewer stable points (or fewer unstable points, or
 either) than the original.  Its cuts are ``m·z <= e`` with a signed normal
-``m = side·n``, and one cache from (family, e) keeps each cut's evaluation,
-so no cut is evaluated twice.  ``_CutEvaluator3`` evaluates a batch of cuts
-at once, bit for bit as the clip, ``volume`` and the piece's counts would;
-the search makes one batch of every grid cut, then one per one or two
-lockstep bisection steps over the brackets that can still win.
+``m = side·n``, in the families of ``util.signed_families``.  ``_CutEvaluator3``
+evaluates a batch of cuts at once, bit for bit as the clip, ``volume`` and the
+piece's counts would; the search makes one batch of every grid cut, then
+bisects the brackets that can still win in lockstep through
+``util.cached_cuts``: no cut twice, up to two steps per call.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ from .geom3d import (
     volume,
 )
 from .reports import RobustnessReport, json_dumps_g17
-from .util import SPECULATE_CELLS, RayTable, fibonacci_sphere, first_exit_distances, is_count, ray_intervals, rotation_from_seed
+from .util import RayTable, cached_cuts, family_cut, fibonacci_sphere, first_exit_distances, is_count, ray_intervals
+from .util import rotation_from_seed, signed_families
 
 Point3 = tuple[float, float, float]
 Carrier = Union[int, tuple[int, int]]
@@ -344,6 +345,8 @@ def rho_in_sampled_3d(
     ``stable_count3`` only where the table cannot certify them.
     ``tol_step`` (relative to the body's scale) must be positive and finite.
     """
+    if not is_count(directions):
+        raise ValueError("directions must be an integer")
     if directions < 128:
         raise ValueError("directions must be at least 128")
     if not (math.isfinite(tol_step) and tol_step > 0.0):
@@ -364,7 +367,7 @@ def rho_in_sampled_3d(
         value=float(dists[idx]) / math.sqrt(surf),
         method="sampled",
         witness={"type": "direction", "direction": [float(c) for c in dirs[idx]], "distance": float(dists[idx])},
-        details={"S": target, "directions": directions, "tol_step": tol_step, "surface_area": surf},
+        details={"S": target, "directions": int(directions), "tol_step": tol_step, "surface_area": surf},
     )
 
 
@@ -543,11 +546,12 @@ class _CutEvaluator3:
         if not self.batched:
             return
         # Each family's norm, unit normal and projections as the clip computes
-        # them, row by row: a column of V @ N.T is not always V @ n.
+        # them: each row of ``_rowdot`` and of the stacked product is its own
+        # ``np.linalg.norm(m)`` and ``v @ n`` (a column of V @ N.T may not be).
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self.norm = np.array([np.linalg.norm(m) for m in self.M])
+            self.norm = np.sqrt(_rowdot(self.M, self.M))
             self.n = self.M / self.norm[:, None]
-            self.base = np.array([v @ n for n in self.n]).reshape(len(self.M), len(v))
+            self.base = np.matmul(v[None], self.n[:, :, None])[..., 0]
         self.usable = np.isfinite(self.norm) & (self.norm > 0.0)
         # A face the cut leaves whole is the parent's face: its fan terms, its
         # plane and its slots' frames are the parent's.
@@ -823,21 +827,18 @@ def plane_truncation_search(
     ``reduce_any`` value is exactly min(reduce_S, reduce_U).
 
     A cut is ``m·z <= e`` with the signed normal ``m = side·n`` and
-    ``e = side·d``; the ``-n`` family's grid is ``-offsets[::-1]`` and its
-    support end ``-lo``.  The kept piece grows with ``e``, so the last
-    reducing grid cut is the cheapest and its bracket runs toward the support
-    end, which removes nothing and is never evaluated.  All grid cuts are one
-    evaluator batch; then the live brackets bisect in lockstep.  One cache
-    from (family, e) to the cut's evaluation holds the grid and every
-    midpoint, so no cut is evaluated twice.  A step whose midpoints are not
-    all cached makes one evaluator call; while that call spans at most
-    ``SPECULATE_CELLS`` (cut, slot) cells, three cuts per live bracket, it also
-    takes both of the next step's midpoints, ``0.5 * (e_a + mid)`` and
-    ``0.5 * (mid + e_b)``, so the next step finds its midpoint cached
-    whichever end moved.  A call thus serves up to two steps; the 60-step cap
+    ``e = side·d``, in the families of ``util.signed_families``.  The kept
+    piece grows with ``e``, so the last reducing grid cut is the cheapest and
+    its bracket runs toward the support end, which removes nothing and is
+    never evaluated.  All grid cuts are one evaluator batch; then the live
+    brackets bisect in lockstep through ``util.cached_cuts``, whose cache
+    holds the grid and every midpoint (a cut spans the body's ``len(tails)``
+    face slots) and whose speculation takes both of the next step's
+    midpoints, ``0.5 * (e_a + mid)`` and ``0.5 * (mid + e_b)``, so the next
+    step finds its midpoint cached whichever end moved; the 60-step cap
     counts steps.  Each predicate's witness is its cheapest bracket, the
     first in (normal, side) order among equals; it reports ``n``, the
-    unsigned ``offset = side·e`` and the side.
+    unsigned offset and the side (``util.family_cut``).
 
     A bracket also stops once its non-reducing end removes more than its
     predicate's incumbent (the least ``rel_a`` over its brackets) plus
@@ -862,6 +863,8 @@ def plane_truncation_search(
         raise ValueError("grid needs at least 1 normal and 2 offsets")
     if not (math.isfinite(refine_tol) and refine_tol > 0.0):
         raise ValueError("refine_tol must be a positive finite number")
+    if not is_count(seed):
+        raise ValueError("seed must be an integer")
     eq0 = classify3(P, centroid3(P))
     if eq0.any_degenerate:
         raise DegenerateConfiguration("base classification is degenerate")
@@ -870,7 +873,7 @@ def plane_truncation_search(
         "S0": S0,
         "U0": U0,
         "grid": [n_normals, n_offsets],
-        "seed": seed,
+        "seed": int(seed),
         "refine_tol": refine_tol,
         "partial_s": None,
         "partial_u": None,
@@ -881,21 +884,15 @@ def plane_truncation_search(
         return RobustnessReport(kind=kind, value=None, method="search", status="no_reduction_found", details=details)
     normals = fibonacci_sphere(n_normals) @ rotation_from_seed(seed).T
 
-    # Family 2j is normal j's side +1, family 2j + 1 its side -1.
-    M = np.stack([normals, -normals], 1).reshape(-1, 3)
+    # Each row of the product is the clip's own ``coords @ n``.
+    proj = np.matmul(P.coords[None], normals[:, :, None])[..., 0]
+    M, E, ends = signed_families(normals, proj.min(1), proj.max(1), n_offsets)
     evaluate = _CutEvaluator3(P, M)
-    E, ends = [], []
-    for n in normals:
-        lo, hi = P.support_interval(n)
-        offs = np.linspace(lo, hi, n_offsets + 2)[1:-1]
-        E += [offs, -offs[::-1]]
-        ends += [hi, -lo]
-    E, ends = np.array(E), np.array(ends)
-    rel, S, U = evaluate(np.arange(len(M)).repeat(n_offsets), E.ravel())
+    grid_fam = np.arange(len(M)).repeat(n_offsets)
+    rel, S, U = evaluate(grid_fam, E.ravel())
     # (family, e) -> (relative volume removed, S, U), S < 0 for an unusable
     # piece.  A bisection midpoint can repeat a grid cut or a cut of an earlier step.
-    keys = zip(np.arange(len(M)).repeat(n_offsets).tolist(), E.ravel().tolist())
-    cache = dict(zip(keys, zip(rel.tolist(), S.tolist(), U.tolist())))
+    cache = dict(zip(zip(grid_fam.tolist(), E.ravel().tolist()), zip(rel.tolist(), S.tolist(), U.tolist())))
     rel, S, U = (a.reshape(E.shape) for a in (rel, S, U))
     usable = S >= 0
     reducing = usable[:, None] & np.stack([S < S0, U < U0], 1)
@@ -922,19 +919,12 @@ def plane_truncation_search(
             break
         a, b = e_a[live], e_b[live]
         mid = 0.5 * (a + b)
-        keys = list(zip(fam[live].tolist(), mid.tolist()))
-        new = [k for k in keys if k not in cache]
-        if new:
-            if step < 59 and 3 * len(live) * len(P.tails) <= SPECULATE_CELLS:
-                # The next step's midpoint, whichever end this one moves; the
-                # 60th step has no next step.
-                f = fam[live].tolist()
-                new += zip(f, (0.5 * (a + mid)).tolist())
-                new += zip(f, (0.5 * (mid + b)).tolist())
-            new = [k for k in dict.fromkeys(new) if k not in cache]
-            f, e = zip(*new)
-            cache.update(zip(new, zip(*(x.tolist() for x in evaluate(f, e)))))
-        r, s, u = (np.array(c) for c in zip(*(cache[k] for k in keys)))
+        f = fam[live].tolist()
+
+        def ahead():  # the next step's midpoint, whichever end this one moves; the 60th step has none
+            return [] if step == 59 else [*zip(f, (0.5 * (a + mid)).tolist()), *zip(f, (0.5 * (mid + b)).tolist())]
+
+        r, s, u = cached_cuts(evaluate, cache, list(zip(f, mid.tolist())), ahead, len(P.tails))
         ok = s >= 0
         red = ok & np.where(pred[live] == 0, s < S0, u < U0)
         e_a[live[red]], rel_a[live[red]] = mid[red], r[red]
@@ -945,13 +935,11 @@ def plane_truncation_search(
     for p in np.unique(pred).tolist():
         mine = np.flatnonzero(pred == p)
         k = mine[np.argmin(rel_a[mine])]
-        side = 1 - 2 * int(fam[k] % 2)
+        j, side, offset = family_cut(int(fam[k]), float(e_a[k]))
         best["SU"[p]] = {
             "type": "plane",
-            "normal": [float(c) for c in normals[fam[k] // 2]],
-            # A bracket (-x, x) bisects to e = +0.0, where side·e is -0.0:
-            # the unsigned offset of that cut is +0.0.
-            "offset": side * float(e_a[k]) + 0.0,
+            "normal": [float(c) for c in normals[j]],
+            "offset": offset,
             "side": side,
             "relative_volume_removed": float(rel_a[k]),
         }

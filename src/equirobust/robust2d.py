@@ -24,7 +24,9 @@ evaluator, ``_CutEvaluator``, which gives the scalar clip-and-classify
 path's results bit for bit and hands it the few cuts it cannot certify.
 Its results stay arrays (stable count -1 for an unusable piece), and a sweep
 is returned as the columns of a ``TruncationSweep``, with ``piece_S = -1``
-for a degenerate piece.
+for a degenerate piece.  The line search lays out its cut families and
+bisects through the helpers the 3D plane search uses, ``util.signed_families``
+and ``util.cached_cuts``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .geom2d import (
     dist_point_to_ray,
 )
 from .reports import RobustnessReport
-from .util import SPECULATE_CELLS, fmt_g17, is_count
+from .util import SPECULATE_CELLS, cached_cuts, family_cut, fmt_g17, is_count, signed_families
 
 log = logging.getLogger(__name__)
 
@@ -152,8 +154,7 @@ def rho_in_sampled(P: ConvexPolygon2, p: Sequence[float], directions: int = 720,
     """
     from .util import first_exit_distances
 
-    if directions < 1:
-        raise ValueError("directions must be positive")
+    _require_positive_count("directions", directions)
     if not (math.isfinite(tol_step) and tol_step > 0.0):
         raise ValueError("tol_step must be a positive finite number")
     eq = equilibria(P, p)
@@ -174,7 +175,7 @@ def rho_in_sampled(P: ConvexPolygon2, p: Sequence[float], directions: int = 720,
         value=float(exits[k]) / P.perimeter,
         method="sampled",
         witness={"type": "direction", "angle": float(angles[k]), "distance": float(exits[k])},
-        details={"S": eq.S, "directions": directions, "tol": tol_step},
+        details={"S": eq.S, "directions": int(directions), "tol": tol_step},
     )
 
 
@@ -532,29 +533,28 @@ def full_robustness_line_bound(
     removed, which bounds the full robustness from above, or
     ``status="no_reduction_found"``.
 
-    Each direction gives two families of cuts ``m·z <= e``, ``m = side·n``;
-    the ``-n`` family's grid is ``-offsets[::-1]`` and its support end
-    ``-lo``.  The last reducing grid cut along ``e`` is the cheapest, and its
-    bracket runs one grid step toward the support end, so the grid is read
-    from each family's support end down in rounds.  A round is one evaluator
-    call of ``SPECULATE_CELLS // (n + 3)`` cuts (at least one), over the
-    families with cuts unread and no reducing cut yet: the first that many of
-    their unread cuts taken depth by depth (each family's highest unread
-    offset, then its next, and so on), families in order within a depth, so
-    that the families share the round as evenly as their unread cuts allow
-    and the lowest-numbered take the extras; a family leaves once a round
-    finds its first reducing cut.  Every round but the last is full, and a
-    polygon with no reducing cut reads its whole grid.  The brackets are then
-    bisected in lockstep.  A batch holds one step's midpoints and, while it
-    spans at most ``SPECULATE_CELLS`` cells (three cuts of ``n + 3`` ring
-    slots per live bracket), step two's midpoint on either side of each where
-    that step's stop test passes; step two reads the one on the side step one
-    kept.  A batch thus serves up to two steps, and none is empty.  The
-    witness reports the unsigned offset ``side·e`` and the side.
+    Each direction gives two families of cuts ``m·z <= e``, laid out by
+    ``util.signed_families``.  The last reducing grid cut along ``e`` is the
+    cheapest, and its bracket runs one grid step toward the support end, so
+    the grid is read from each family's support end down in rounds.  A round is
+    one evaluator call of ``SPECULATE_CELLS // (n + 3)`` cuts (at least one),
+    over the families with cuts unread and no reducing cut yet: the first that
+    many of their unread cuts taken depth by depth (each family's highest
+    unread offset, then its next, and so on), families in order within a
+    depth, so that the families share the round as evenly as their unread cuts
+    allow and the lowest-numbered take the extras; a family leaves once a
+    round finds its first reducing cut.  Every round but the last is full, and
+    a polygon with no reducing cut reads its whole grid.  The brackets are then
+    bisected in lockstep, each step's cuts through ``util.cached_cuts`` (a cut
+    spans ``n + 3`` ring slots), whose speculation takes the next step's
+    midpoint on either side of each bracket where that bracket's own stop test
+    passes.  The witness is the cheapest bracket, the first in family order
+    among equals; it reports the unsigned offset and the side
+    (``util.family_cut``).
 
     A bracket also stops once the last usable cut seen at its non-reducing
     end removes more than the least ``rel_red`` over all brackets plus
-    ``2δ``, and so the cells of a batch count only the live brackets.  The
+    ``2δ``, and so the cells of a call count only the live brackets.  The
     area removed falls as ``e`` grows, and ``δ`` from ``_removed_area_slack``
     bounds how far its computed value can rise instead, so such a bracket
     ends above the witness's: the report is that of bisecting every bracket.
@@ -576,26 +576,23 @@ def full_robustness_line_bound(
     if S0 <= 2:
         # A convex polygon keeps two stable points at its own centroid.
         return RobustnessReport(kind="full_line_bound", value=None, method="search", status="no_reduction_found", details=details)
-    evaluate = _CutEvaluator(P)
-
-    # Family 2j + 0 is direction j's side +1, family 2j + 1 its side -1.  One
-    # linspace over all directions rounds each row as its own call would.
+    evaluator = _CutEvaluator(P)
     thetas = [j * math.pi / grid_theta for j in range(grid_theta)]
     normals = np.array([(math.cos(theta), math.sin(theta)) for theta in thetas])
     lo, hi = np.array([P.support_interval(nx, ny) for nx, ny in normals.tolist()]).T
-    offsets = np.linspace(lo, hi, grid_offset + 2, axis=1)[:, 1:-1]
-    step = offsets[:, 1] - offsets[:, 0] if grid_offset > 1 else hi - lo
-    M = np.stack([normals, -normals], 1).reshape(-1, 2)
-    E = np.stack([offsets, -offsets[:, ::-1]], 1).reshape(-1, grid_offset)
-    ends = np.stack([hi, -lo], 1).ravel()
-    steps = step.repeat(2)
+    M, E, ends = signed_families(normals, lo, hi, grid_offset)
+    # Each direction's grid step, the +n family's.
+    steps = (E[::2, 1] - E[::2, 0] if grid_offset > 1 else hi - lo).repeat(2)
+
+    def evaluate(f, e):  # the cuts of families f at e
+        return evaluator(M[f, 0], M[f, 1], e)
 
     # Grid rounds.  Per family: the index into ``E.flat`` of its last
     # reducing cut (-1 while none is found) and the relative area that cut
     # removes.  ``todo`` holds the families still reading, ``r`` how many
     # cuts each has read from its support end down.
     rows = max(1, SPECULATE_CELLS // (P.n + 3))
-    NX, NY, flat = M[:, 0].copy(), M[:, 1].copy(), E.ravel()
+    flat = E.ravel()
     hit = np.full(len(E), -1)
     rel_hit = np.zeros(len(E))
     todo = np.arange(len(E))
@@ -610,7 +607,7 @@ def full_robustness_line_bound(
         take = np.bincount(j, minlength=len(todo))
         f = todo[j]
         cell = (f + 1) * grid_offset - 1 - r[j] - d
-        kept, counts = evaluate(NX[f], NY[f], flat[cell])
+        kept, counts = evaluate(f, flat[cell])
         red = np.flatnonzero((counts >= 0) & (counts < S0))
         if len(red):
             # Each family's cuts run down from its support end, so its first
@@ -634,6 +631,7 @@ def full_robustness_line_bound(
     rel_ok = np.zeros(len(fam))
     delta = _removed_area_slack(P)
     live = np.full(len(fam), refine_tol is not None)
+    cache: dict = {}
     while live.any():
         mid = 0.5 * (e_red + e_ok)
         above = rel_ok > rel_red.min() + 2.0 * delta
@@ -641,59 +639,28 @@ def full_robustness_line_bound(
         idx = np.flatnonzero(live)
         if not len(idx):
             break
-        k = len(idx)
-        # While the cells allow, the batch also holds step two's midpoint in
-        # (e_red, mid) and in (mid, e_ok), each where its own stop test passes.
-        lo, hi = np.stack([e_red[idx], mid[idx]]), np.stack([mid[idx], e_ok[idx]])
-        ahead = 0.5 * (lo + hi)
-        go = (np.abs(hi - lo) > refine_tol) & (ahead != lo) & (ahead != hi)
-        go &= 3 * k * (P.n + 3) <= SPECULATE_CELLS
-        rows = np.concatenate([idx, np.stack([idx, idx])[go]])
-        e = np.concatenate([mid[idx], ahead[go]])
-        kept, counts = evaluate(M[fam[rows], 0], M[fam[rows], 1], e)
-        reduces = (counts >= 0) & (counts < S0)
-        steps = [np.arange(k)]
-        if go.any():
-            # Step two reads the candidate on the side step one kept; a bracket
-            # without one has met its stop test.
-            at = np.full(go.shape, -1)
-            at[go] = np.arange(k, len(e))
-            nxt = at[reduces[:k].astype(int), np.arange(k)]
-            live[idx] = nxt >= 0
-            steps.append(nxt[nxt >= 0])
-        for step in steps:
-            red = reduces[step]
-            e_red[rows[step[red]]] = e[step[red]]
-            rel_red[rows[step[red]]] = 1.0 - kept[step[red]]
-            e_ok[rows[step[~red]]] = e[step[~red]]
-            ok = step[~red & (counts[step] >= 0)]
-            rel_ok[rows[ok]] = 1.0 - kept[ok]
+        f, m = fam[idx].tolist(), mid[idx]
 
-    best_val = math.inf
-    best_witness: Optional[dict] = None
-    for f, e, rel in zip(fam.tolist(), e_red.tolist(), rel_red.tolist()):
-        if rel < best_val:
-            side = 1 - 2 * (f % 2)
-            best_val = rel
-            best_witness = {
-                "type": "line",
-                "theta": thetas[f // 2],
-                # A bracket (-x, x) bisects to e = +0.0, where side·e is -0.0:
-                # the unsigned offset of that cut is +0.0.
-                "offset": side * e + 0.0,
-                "side": side,
-                "relative_area_removed": rel,
-            }
+        def ahead():  # the next step's midpoints in (e_red, mid) and (mid, e_ok), where its stop test passes
+            lo, hi = np.stack([e_red[idx], m]), np.stack([m, e_ok[idx]])
+            cand = 0.5 * (lo + hi)
+            keep = (np.abs(hi - lo) > refine_tol) & (cand != lo) & (cand != hi)
+            return list(zip(np.array([f, f])[keep].tolist(), cand[keep].tolist()))
 
-    found = best_witness is not None
-    return RobustnessReport(
-        kind="full_line_bound",
-        value=best_val if found else None,
-        method="search",
-        status="ok" if found else "no_reduction_found",
-        witness=best_witness,
-        details=details,
-    )
+        kept, counts = cached_cuts(evaluate, cache, list(zip(f, m.tolist())), ahead, P.n + 3)
+        red = (counts >= 0) & (counts < S0)
+        e_red[idx[red]], rel_red[idx[red]] = m[red], 1.0 - kept[red]
+        e_ok[idx[~red]] = m[~red]
+        ok = ~red & (counts >= 0)
+        rel_ok[idx[ok]] = 1.0 - kept[ok]
+
+    if not len(fam):
+        return RobustnessReport(kind="full_line_bound", value=None, method="search", status="no_reduction_found", details=details)
+    k = int(np.argmin(rel_red))
+    j, side, offset = family_cut(int(fam[k]), float(e_red[k]))
+    rel = float(rel_red[k])
+    witness = {"type": "line", "theta": thetas[j], "offset": offset, "side": side, "relative_area_removed": rel}
+    return RobustnessReport(kind="full_line_bound", value=rel, method="search", witness=witness, details=details)
 
 
 # -- truncation sweep -------------------------------------------------------
@@ -772,6 +739,8 @@ def truncation_sweep(P: ConvexPolygon2, samples: int, seed: int, bins: int = 20)
     """
     _require_positive_count("samples", samples)
     _require_positive_count("bins", bins)
+    if not is_count(seed):
+        raise ValueError("seed must be an integer")
     eq0 = equilibria(P, P.centroid)
     thetas, offsets = _draw_sweep_lines(P, samples, seed)
     # math.cos and math.sin, as the scalar path: numpy's may differ in the last bit.

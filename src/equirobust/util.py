@@ -1,4 +1,4 @@
-"""Small shared helpers: number formatting, direction grids, RNG plumbing."""
+"""Shared helpers: number formatting, direction grids, RNG plumbing, cut searches, ray walks."""
 
 from __future__ import annotations
 
@@ -8,17 +8,58 @@ from typing import NamedTuple
 import numpy as np
 
 
-#: Most (cut, slot) cells a search's evaluator batch spans when it also takes
-#: the next bisection step's two candidates per live bracket: above this the
-#: extra cuts cost more than the evaluator call they save.  The 2D line
-#: search's grid rounds span this many too: a larger round reads more cuts
-#: below the families' first reducing cuts.
+#: Most (cut, slot) cells an evaluator call of :func:`cached_cuts` spans when
+#: it also takes the next bisection step's candidates, three cuts per live
+#: bracket: above this the extra cuts cost more than the call they save.  The
+#: 2D line search's grid rounds span this many too: a larger round reads more
+#: cuts below the families' first reducing cuts.
 SPECULATE_CELLS = 4096
 
 
 def is_count(x) -> bool:
     """Whether ``x`` is an integer (Python or numpy), and not a bool."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def signed_families(normals: np.ndarray, lo: np.ndarray, hi: np.ndarray, k: int):
+    """A grid search's cut families ``m·z <= e`` as rows of ``(M, E, ends)``.
+
+    Family 2j is normal j's side +1: ``m = n``, the offsets
+    ``linspace(lo, hi, k + 2)[1:-1]`` of its support interval, support end
+    ``hi``; family 2j + 1 its side -1: ``m = -n``, the offsets negated and
+    reversed, end ``-lo``.
+    The kept part grows with ``e`` on both sides.  Each row of the one
+    ``linspace`` is bit for bit its own 1-D ``linspace`` unless some row's
+    step is 0: numpy then switches every row to its subnormal-safe formula.
+    """
+    offsets = np.linspace(lo, hi, k + 2, axis=1)[:, 1:-1]
+    M = np.stack([normals, -normals], 1).reshape(-1, normals.shape[1])
+    E = np.stack([offsets, -offsets[:, ::-1]], 1).reshape(-1, k)
+    return M, E, np.stack([hi, -lo], 1).ravel()
+
+
+def family_cut(f: int, e: float) -> tuple[int, int, float]:
+    """Family f's cut at ``e`` as its normal index, side and unsigned offset."""
+    side = 1 - 2 * (f % 2)
+    # A bracket (-x, x) bisects to e = +0.0, where side·e is -0.0; its offset is +0.0.
+    return f // 2, side, side * e + 0.0
+
+
+def cached_cuts(evaluate, cache: dict, keys: list, ahead, cells: int) -> tuple[np.ndarray, ...]:
+    """Per column of ``evaluate``'s results, an array over the cuts ``keys``,
+    (family, e) pairs.  ``cache`` maps each cut evaluated so far to its
+    results, so no cut is evaluated twice: the missing keys go to one call
+    ``evaluate(families, es)``, which, while it spans at most
+    ``SPECULATE_CELLS`` cells (three cuts of ``cells`` slots per key), also
+    takes the keys ``ahead()`` names, the next bisection step's candidates."""
+    new = [key for key in keys if key not in cache]
+    if new:
+        if 3 * len(keys) * cells <= SPECULATE_CELLS:
+            new += ahead()
+        new = [key for key in dict.fromkeys(new) if key not in cache]
+        f, e = (np.array(c) for c in zip(*new))
+        cache.update(zip(new, zip(*(c.tolist() for c in evaluate(f, e)))))
+    return tuple(np.array(c) for c in zip(*(cache[key] for key in keys)))
 
 
 def fmt_g17(x: float) -> str:

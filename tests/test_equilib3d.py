@@ -381,6 +381,16 @@ class TestInternalRobustness:
         with pytest.raises(ValueError):
             rho_in_sampled_3d(platonic("cube"), (0, 0, 0), directions=64)
 
+    @pytest.mark.parametrize("directions", [128.5, True, np.float64(128)])
+    def test_sampled_directions_must_be_an_integer(self, directions):
+        with pytest.raises(ValueError, match="^directions must be an integer$"):
+            rho_in_sampled_3d(platonic("cube"), (0, 0, 0), directions=directions)
+
+    def test_sampled_numpy_integer_directions_are_stored_as_int(self):
+        rep = rho_in_sampled_3d(platonic("cube"), (0, 0, 0), directions=np.int64(128))
+        assert type(rep.details["directions"]) is int
+        assert rep.to_json() == rho_in_sampled_3d(platonic("cube"), (0, 0, 0), directions=128).to_json()
+
     @pytest.mark.parametrize("tol_step", [0.0, -1e-6, math.nan, math.inf, -math.inf])
     def test_sampled_tol_step_validation(self, tol_step):
         with pytest.raises(ValueError, match="^tol_step must be a positive finite number$"):
@@ -482,6 +492,16 @@ class TestTruncationFixture:
 
 
 class TestTruncationSearch:
+    @pytest.mark.parametrize("seed", [1.5, True, np.float64(1)])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer$"):
+            plane_truncation_search(platonic("cube"), "reduce_any", (4, 4), 1e-4, seed)
+
+    def test_numpy_integer_seed_is_stored_as_int(self):
+        rep = plane_truncation_search(platonic("cube"), "reduce_any", (4, 4), 1e-4, np.int64(1))
+        assert type(rep.details["seed"]) is int
+        assert rep.to_json() == plane_truncation_search(platonic("cube"), "reduce_any", (4, 4), 1e-4, 1).to_json()
+
     def test_cube_reduce_s_frozen(self):
         r = plane_truncation_search(platonic("cube"), "reduce_S", grid=(32, 16), seed=5)
         assert r.value == pytest.approx(0.18099660269384454, abs=1e-12)

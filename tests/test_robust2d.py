@@ -164,6 +164,17 @@ class TestInternalSampled:
         with pytest.raises(ValueError, match="^directions must be positive$"):
             rho_in_sampled(unit_square(), (0.5, 0.5), directions=directions)
 
+    @pytest.mark.parametrize("directions", [2.5, True, np.float64(8)])
+    def test_directions_must_be_an_integer(self, directions):
+        # 2.5 used to walk 3 directions spaced 2pi/2.5 apart, True one direction.
+        with pytest.raises(ValueError, match="^directions must be an integer$"):
+            rho_in_sampled(unit_square(), (0.5, 0.5), directions=directions)
+
+    def test_numpy_integer_directions_are_stored_as_int(self):
+        rep = rho_in_sampled(unit_square(), (0.5, 0.5), directions=np.int64(16))
+        assert type(rep.details["directions"]) is int
+        assert rep.to_json() == rho_in_sampled(unit_square(), (0.5, 0.5), directions=16).to_json()
+
     @pytest.mark.parametrize("tol_step", [0.0, -1e-6, math.nan, math.inf, -math.inf])
     def test_tol_step_must_be_positive_and_finite(self, tol_step):
         # NaN used to skip the bisection (0.12507 for 0.125), zero or a
@@ -463,6 +474,11 @@ class TestSweep:
     def test_counts_must_be_integers(self, samples, bins):
         with pytest.raises(ValueError, match="^(samples|bins) must be an integer$"):
             truncation_sweep(unit_square(), samples, 1, bins=bins)
+
+    @pytest.mark.parametrize("seed", [1.5, True, np.float64(3)])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer$"):
+            truncation_sweep(unit_square(), 4, seed)
 
     @pytest.mark.parametrize("bins", [2.5, True, np.float64(4)])
     def test_summary_bins_must_be_an_integer(self, bins):

@@ -403,6 +403,27 @@ class TestLineBound:
         assert len(sizes) == 8 and all(sizes)
 
 
+    def test_no_cut_is_evaluated_twice(self, monkeypatch):
+        # Every cut of the grid rounds and the bisection enters the batched
+        # evaluator once; a step that speculation served makes no call.
+        cuts = []
+        evaluate = robust2d._CutEvaluator.__call__
+
+        def recording(self, nx, ny, d):
+            cuts.extend(zip(np.asarray(nx).tolist(), np.asarray(ny).tolist(), np.asarray(d).tolist()))
+            return evaluate(self, nx, ny, d)
+
+        monkeypatch.setattr(robust2d._CutEvaluator, "__call__", recording)
+        rng = np.random.default_rng(53)
+        polys = [regular_ngon(S) for S in (3, 8, 64)] + [random_convex_polygon(rng, S) for S in (6, 9, 30)]
+        for P in polys:
+            for grid, refine_tol in (((12, 48), 1e-6), ((7, 5), 1e-9), ((30, 16), 1e-4)):
+                cuts.clear()
+                assert full_robustness_line_bound(P, *grid, refine_tol).status == "ok"
+                assert len(cuts) > grid[1]
+                assert len(set(cuts)) == len(cuts)
+
+
 def _shifted3(P, shift):
     """``P`` moved by ``shift`` along a fixed direction.  Built from its face
     cycles directly: far from the origin ``polyhedron_new`` rejects the

@@ -532,3 +532,81 @@ class TestEventReads:
             assert np.array_equal(got, _plain_walk(count, origin, dirs, target, 8.0, 1e-6))
             assert (want < 8.0).any()
 
+
+
+class TestSearchHelpers:
+    def test_signed_families_match_per_row_grids(self):
+        # The plane search's supports come from one stacked product and its
+        # grids from one linspace; each row must be the per-normal
+        # ``coords @ n`` and 1-D linspace bit for bit, at every magnitude.
+        rng = np.random.default_rng(31)
+        for k in (2, 3, 7, 16, 48):
+            for _ in range(40):
+                scale = 10.0 ** rng.uniform(-150, 150)
+                coords = rng.standard_normal((int(rng.integers(4, 30)), 3)) * scale
+                normals = rng.standard_normal((int(rng.integers(1, 20)), 3))
+                normals /= np.linalg.norm(normals, axis=1)[:, None]
+                proj = np.matmul(coords[None], normals[:, :, None])[..., 0]
+                M, E, ends = util.signed_families(normals, proj.min(1), proj.max(1), k)
+                assert M.shape == (2 * len(normals), 3) and E.shape == (2 * len(normals), k)
+                for j, n in enumerate(normals):
+                    lo, hi = float((coords @ n).min()), float((coords @ n).max())
+                    offs = np.linspace(lo, hi, k + 2)[1:-1]
+                    assert np.array_equal(M[2 * j], n) and np.array_equal(M[2 * j + 1], -n)
+                    assert np.array_equal(E[2 * j], offs) and np.array_equal(E[2 * j + 1], -offs[::-1])
+                    assert ends[2 * j] == hi and ends[2 * j + 1] == -lo
+
+    def test_family_cut_reports_unsigned_offsets(self):
+        assert util.family_cut(6, 0.25) == (3, 1, 0.25)
+        assert util.family_cut(7, 0.25) == (3, -1, -0.25)
+        j, side, offset = util.family_cut(1, 0.0)
+        assert (j, side) == (0, -1) and math.copysign(1.0, offset) == 1.0
+
+    @staticmethod
+    def _recording():
+        calls = []
+
+        def evaluate(f, e):
+            calls.append(list(zip(f.tolist(), e.tolist())))
+            return e * 2.0, f + 1
+
+        return calls, evaluate
+
+    def test_cached_cuts_speculate_within_the_budget(self):
+        calls, evaluate = self._recording()
+        cache: dict = {}
+        ahead = [(0, 0.25), (1, 0.5), (0, 0.75)]
+        # Two keys of 100 cells: 600 cells, within the budget.
+        got = util.cached_cuts(evaluate, cache, [(0, 0.5), (1, 0.5)], lambda: ahead, 100)
+        assert calls == [[(0, 0.5), (1, 0.5), (0, 0.25), (0, 0.75)]]
+        assert [a.tolist() for a in got] == [[1.0, 1.0], [1, 2]]
+        # The next step finds its cuts cached: no call, and ``ahead`` unused.
+        got = util.cached_cuts(evaluate, cache, [(0, 0.75), (0, 0.25)], lambda: 1 / 0, 100)
+        assert len(calls) == 1
+        assert [a.tolist() for a in got] == [[1.5, 0.5], [1, 1]]
+
+    def test_cached_cuts_above_the_budget_take_only_the_step(self):
+        calls, evaluate = self._recording()
+        cache: dict = {}
+        cells = util.SPECULATE_CELLS // 6 + 1
+        keys = [(0, 0.5), (3, 0.5)]
+        util.cached_cuts(evaluate, cache, keys, lambda: [(0, 0.25)], cells)
+        assert calls == [keys]
+        # A step with one new key calls for that key alone, and the budget
+        # counts every key of the step.
+        util.cached_cuts(evaluate, cache, keys + [(2, 0.5)], lambda: [(0, 0.25)], cells)
+        assert calls[1:] == [[(2, 0.5)]]
+        util.cached_cuts(evaluate, cache, [(1, 0.5)], lambda: [(0, 0.25)], cells)
+        assert calls[2:] == [[(1, 0.5), (0, 0.25)]]
+
+    def test_cached_cuts_evaluate_no_key_twice(self):
+        rng = np.random.default_rng(37)
+        calls, evaluate = self._recording()
+        cache: dict = {}
+        for _ in range(50):
+            keys = list(zip(rng.integers(0, 4, 6).tolist(), (rng.integers(0, 8, 6) / 8).tolist()))
+            extra = list(zip(rng.integers(0, 4, 6).tolist(), (rng.integers(0, 8, 6) / 8).tolist()))
+            got = util.cached_cuts(evaluate, cache, keys, lambda: extra, 10)
+            assert got[0].tolist() == [2.0 * e for _, e in keys]
+        seen = [key for call in calls for key in call]
+        assert len(seen) == len(set(seen)) == len(cache)
