@@ -34,6 +34,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -516,6 +517,19 @@ def _removed_area_slack(P: ConvexPolygon2) -> float:
     return 2.0 * ((shoelace + crossing + cleanup) / P.area + 2.0**-52)
 
 
+def _support_intervals(P: ConvexPolygon2, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``P.support_interval`` of each row of ``normals``, bit for bit.
+
+    The projections are the same products and sums, and ``argmin``/``argmax``
+    keep the first of equal values as ``min``/``max`` do, so a zero keeps its
+    sign.
+    """
+    verts = np.asarray(P.vertices)
+    projs = normals[:, :1] * verts[:, 0] + normals[:, 1:] * verts[:, 1]
+    rows = np.arange(len(normals))
+    return projs[rows, projs.argmin(axis=1)], projs[rows, projs.argmax(axis=1)]
+
+
 def full_robustness_line_bound(
     P: ConvexPolygon2,
     grid_theta: int = 180,
@@ -579,7 +593,7 @@ def full_robustness_line_bound(
     evaluator = _CutEvaluator(P)
     thetas = [j * math.pi / grid_theta for j in range(grid_theta)]
     normals = np.array([(math.cos(theta), math.sin(theta)) for theta in thetas])
-    lo, hi = np.array([P.support_interval(nx, ny) for nx, ny in normals.tolist()]).T
+    lo, hi = _support_intervals(P, normals)
     M, E, ends = signed_families(normals, lo, hi, grid_offset)
     # Each direction's grid step, the +n family's.
     steps = (E[::2, 1] - E[::2, 0] if grid_offset > 1 else hi - lo).repeat(2)
@@ -690,16 +704,61 @@ class TruncationSweep:
         return self.piece_S < 0
 
 
-@dataclass
 class SweepSummary:
-    bin_edges: np.ndarray
-    counts: dict  # category -> array of per-bin counts; categories: int dS and "degenerate"
-    totals: np.ndarray
+    """A sweep's outcomes per relative-area bin, counted on first read.
+
+    ``bins`` equal bins split [0, 1] (``bin_edges``); a row falls in bin
+    ``floor(relative_area * bins)``, the last bin taking 1.0.  ``counts`` maps
+    each category, an int delta S in the order the rows first show it and then
+    ``"degenerate"`` when any row is degenerate, to its per-bin counts;
+    ``totals`` counts every row per bin.  They are built once, when first read,
+    so a caller that writes only the sweep's rows never counts.
+    """
+
+    def __init__(self, sweep: TruncationSweep, bins: int):
+        _require_positive_count("bins", bins)
+        self.sweep = sweep
+        self.bins = int(bins)
+
+    @cached_property
+    def bin_edges(self) -> np.ndarray:
+        return np.linspace(0.0, 1.0, self.bins + 1)
+
+    @cached_property
+    def _counted(self) -> tuple[dict, np.ndarray]:
+        return _count_outcomes(self.sweep, self.bins)
+
+    @property
+    def counts(self) -> dict:
+        return self._counted[0]
+
+    @property
+    def totals(self) -> np.ndarray:
+        return self._counted[1]
 
     def fractions(self, category) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore"):
             frac = np.where(self.totals > 0, self.counts.get(category, np.zeros_like(self.totals)) / np.maximum(self.totals, 1), 0.0)
         return frac
+
+
+def _count_outcomes(sweep: TruncationSweep, bins: int) -> tuple[dict, np.ndarray]:
+    """``SweepSummary``'s counts and totals, from one ``np.bincount``.
+
+    Each row gets its category's rank (delta S values by first appearance,
+    ``"degenerate"`` last) and is counted at ``rank * bins + bin``.
+    """
+    b = np.minimum((sweep.relative_area * bins).astype(int), bins - 1)
+    bad = sweep.degenerate
+    keys, first, inverse = np.unique(sweep.piece_S[~bad] - sweep.S0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    r = np.full(len(b), len(keys))
+    r[~bad] = np.argsort(order)[inverse]
+    table = np.bincount(r * bins + b, minlength=(len(keys) + 1) * bins).reshape(-1, bins)
+    counts: dict = dict(zip(keys[order].tolist(), table))
+    if bad.any():
+        counts["degenerate"] = table[-1]
+    return counts, table.sum(axis=0)
 
 
 def _draw_sweep_lines(P: ConvexPolygon2, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -735,7 +794,9 @@ def truncation_sweep(P: ConvexPolygon2, samples: int, seed: int, bins: int = 20)
     ``P``.  Every sample records the piece's relative area and the change of
     the stable count measured at the piece's own centroid; pieces that
     collapse below tolerance or classify degenerately land in a separate
-    ``degenerate`` category.
+    ``degenerate`` category.  Returns the sweep's rows and their summary in
+    ``bins`` bins; ``bins`` is checked at once, but the summary counts the
+    rows only when first read (``SweepSummary``).
     """
     _require_positive_count("samples", samples)
     _require_positive_count("bins", bins)
@@ -744,30 +805,22 @@ def truncation_sweep(P: ConvexPolygon2, samples: int, seed: int, bins: int = 20)
     eq0 = equilibria(P, P.centroid)
     thetas, offsets = _draw_sweep_lines(P, samples, seed)
     # math.cos and math.sin, as the scalar path: numpy's may differ in the last bit.
-    nx = np.array([math.cos(t) for t in thetas.tolist()])
-    ny = np.array([math.sin(t) for t in thetas.tolist()])
+    nx = np.fromiter(map(math.cos, thetas.tolist()), float, len(thetas))
+    ny = np.fromiter(map(math.sin, thetas.tolist()), float, len(thetas))
     kept, counts = _CutEvaluator(P)(
         np.column_stack([nx, -nx]), np.column_stack([ny, -ny]), np.column_stack([offsets, -offsets])
     )
     sweep = TruncationSweep(eq0.S, thetas.repeat(2), offsets.repeat(2), np.tile([1, -1], samples), kept, counts)
-    return sweep, summarize_sweep(sweep, bins)
+    return sweep, SweepSummary(sweep, bins)
 
 
 def summarize_sweep(sweep: TruncationSweep, bins: int = 20) -> SweepSummary:
     """Bin sweep samples by relative area and count per-bin outcome categories.
 
-    The delta-S categories appear in the order the rows first show them, then
-    ``"degenerate"`` when any row is degenerate.
+    ``bins`` is checked at once; the counts are made when the summary is first
+    read (``SweepSummary``).
     """
-    _require_positive_count("bins", bins)
-    b = np.minimum((sweep.relative_area * bins).astype(int), bins - 1)
-    bad = sweep.degenerate
-    delta, b_ok = sweep.piece_S[~bad] - sweep.S0, b[~bad]
-    keys, first = np.unique(delta, return_index=True)
-    counts: dict = {int(k): np.bincount(b_ok[delta == k], minlength=bins) for k in keys[np.argsort(first)]}
-    if bad.any():
-        counts["degenerate"] = np.bincount(b[bad], minlength=bins)
-    return SweepSummary(bin_edges=np.linspace(0.0, 1.0, bins + 1), counts=counts, totals=np.bincount(b, minlength=bins))
+    return SweepSummary(sweep, bins)
 
 
 # -- CSV / SVG emission -----------------------------------------------------

@@ -102,3 +102,26 @@ def unit_square() -> ConvexPolygon2:
 
 def rectangle(w: float, h: float) -> ConvexPolygon2:
     return ConvexPolygon2([(0.0, 0.0), (w, 0.0), (w, h), (0.0, h)])
+
+
+def _summary_reference(sweep, bins):
+    """(bin_edges, counts, totals) of a sweep, one masked bincount per category."""
+    bins = int(bins)
+    b = np.minimum((sweep.relative_area * bins).astype(int), bins - 1)
+    bad = sweep.degenerate
+    delta, b_ok = sweep.piece_S[~bad] - sweep.S0, b[~bad]
+    keys, first = np.unique(delta, return_index=True)
+    counts = {int(k): np.bincount(b_ok[delta == k], minlength=bins) for k in keys[np.argsort(first)]}
+    if bad.any():
+        counts["degenerate"] = np.bincount(b[bad], minlength=bins)
+    return np.linspace(0.0, 1.0, bins + 1), counts, np.bincount(b, minlength=bins)
+
+
+def assert_summary_is_reference(summary, sweep, bins):
+    """``summary`` has the reference's keys in order, counts, totals and bin edges."""
+    edges, counts, totals = _summary_reference(sweep, bins)
+    assert list(summary.counts) == list(counts)
+    for cat, want in counts.items():
+        assert summary.counts[cat].dtype == want.dtype and np.array_equal(summary.counts[cat], want)
+    assert summary.totals.dtype == totals.dtype and np.array_equal(summary.totals, totals)
+    assert (summary.bin_edges.view(np.int64) == edges.view(np.int64)).all() and len(summary.bin_edges) == len(edges)

@@ -25,7 +25,7 @@ from equirobust.robust2d import (
     truncation_sweep,
 )
 
-from conftest import random_convex_polygon, random_interior_point
+from conftest import assert_summary_is_reference, random_convex_polygon, random_interior_point
 
 
 def unit_square():
@@ -339,6 +339,23 @@ class TestFullLineBound:
         assert rep.status == "no_reduction_found"
         assert rep.value is None
 
+    def test_support_intervals_match_the_scalar_supports(self, rng):
+        # The line search's supports, bit for bit: zero projections of both
+        # signs tie at the extremes on the squares, where the first one wins.
+        grid = [(math.cos(j * math.pi / 180), math.sin(j * math.pi / 180)) for j in range(180)]
+        axes = [(a, b) for a in (1.0, -1.0, 0.0, -0.0) for b in (1.0, -1.0, 0.0, -0.0) if abs(a) != abs(b)]
+        drawn = rng.normal(size=(50, 2)).tolist()
+        normals = np.array(grid + axes + drawn)
+        squares = [unit_square(), polygon_new([(-0.0, -0.0), (1, 0), (1, 1), (0, 1)])]
+        zeros = set()
+        for P in squares + [random_convex_polygon(rng, n) for n in (3, 8, 64)]:
+            lo, hi = robust2d._support_intervals(P, normals)
+            want_lo, want_hi = np.array([P.support_interval(nx, ny) for nx, ny in normals.tolist()]).T
+            assert (lo.view(np.int64) == want_lo.view(np.int64)).all()
+            assert (hi.view(np.int64) == want_hi.view(np.int64)).all()
+            zeros |= {math.copysign(1.0, z) for z in np.concatenate([want_lo, want_hi]).tolist() if z == 0.0}
+        assert zeros == {1.0, -1.0}
+
     def test_refinement_toggle(self):
         rough = full_robustness_line_bound(unit_square(), grid_theta=30, grid_offset=12, refine_tol=None)
         refined = full_robustness_line_bound(unit_square(), grid_theta=30, grid_offset=12, refine_tol=1e-6)
@@ -419,6 +436,42 @@ class TestSweep:
         with pytest.raises(ValueError):
             summary_csv(summary)
 
+    @pytest.mark.parametrize("lines", [100, 20_000])
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    def test_summary_matches_reference(self, n, lines):
+        sweep, summary = truncation_sweep(regular_ngon(n), lines, seed=n)
+        assert_summary_is_reference(summary, sweep, 20)
+        assert_summary_is_reference(summarize_sweep(sweep, 1), sweep, 1)
+
+    @pytest.mark.parametrize("bins", [1, 20])
+    def test_summary_of_degenerate_and_one_row_sweeps_matches_reference(self, bins):
+        # Degenerate rows come first and between others, yet their category
+        # is listed last; relative areas sit on bin edges and at 1.0.
+        mixed = TruncationSweep(
+            4,
+            np.zeros(8),
+            np.zeros(8),
+            np.tile([1, -1], 4),
+            np.array([0.05, 0.95, 0.5, 1.0, 0.0, 0.25, 0.3, 0.7]),
+            np.array([-1, 4, 3, -1, 5, 3, -1, 2]),
+        )
+        one = TruncationSweep(4, np.array([0.1]), np.array([0.2]), np.array([1]), np.array([0.3]), np.array([3]))
+        one_bad = TruncationSweep(4, np.array([0.1]), np.array([0.2]), np.array([1]), np.array([1.0]), np.array([-1]))
+        for sweep in (mixed, one, one_bad):
+            assert_summary_is_reference(summarize_sweep(sweep, bins), sweep, bins)
+        assert list(summarize_sweep(mixed, bins).counts) == [0, -1, 1, -2, "degenerate"]
+
+    def test_rows_alone_never_count(self, monkeypatch):
+        def refuse(sweep, bins):
+            raise AssertionError("summary counted")
+
+        monkeypatch.setattr(robust2d, "_count_outcomes", refuse)
+        sweep, summary = truncation_sweep(unit_square(), 50, seed=1)
+        sweep_csv(sweep)
+        assert len(summary.bin_edges) == 21
+        with pytest.raises(AssertionError, match="summary counted"):
+            summary.counts
+
     def test_fraction_rows_sum_to_one(self):
         _, summary = truncation_sweep(unit_square(), 1000, seed=3)
         total = np.zeros(len(summary.totals))
@@ -485,6 +538,14 @@ class TestSweep:
         sweep, _ = truncation_sweep(unit_square(), 1, seed=1)
         with pytest.raises(ValueError, match="^bins must be an integer$"):
             summarize_sweep(sweep, bins=bins)
+
+    @pytest.mark.parametrize("bins", [np.uint8(255), np.int8(127)])
+    def test_summary_bins_at_their_dtype_maximum(self, bins):
+        sweep, _ = truncation_sweep(unit_square(), 30, seed=3)
+        for summary in (summarize_sweep(sweep, bins), truncation_sweep(unit_square(), 30, 3, bins=bins)[1]):
+            assert summary.bins == int(bins) and type(summary.bins) is int
+            assert len(summary.bin_edges) == int(bins) + 1 and len(summary.totals) == int(bins)
+            assert_summary_is_reference(summary, sweep, bins)
 
     def test_numpy_integer_counts_are_accepted(self):
         sweep, summary = truncation_sweep(unit_square(), np.int64(30), np.int64(3), bins=np.int32(7))
