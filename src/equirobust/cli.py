@@ -274,26 +274,19 @@ def _cmd_sweep(args) -> int:
     if dim != "2d":
         raise CLIError("sweep needs a polygon shape")
     sweep, summary = truncation_sweep(shape, args.samples, args.seed, bins=args.bins)
-    samples_text = sweep_csv(sweep)
-    fmt = args.format or "csv"
-    if fmt == "csv" and not args.out:
-        # The per-sample rows fit any polygon; the summary schema holds only
-        # delta-S values -2..+1, so it is built only when it is written.
-        _emit(samples_text, None)
-        return 0
-    summary_text = summary_csv(summary)
-    svg_text = summary_svg(summary)
     if args.out:
-        for suffix, text in ((".samples.csv", samples_text), (".summary.csv", summary_text), (".svg", svg_text)):
-            with open(args.out + suffix, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        _emit(json_dumps_g17({"status": "ok", "samples": len(sweep),
-                              "files": [args.out + s for s in (".samples.csv", ".summary.csv", ".svg")]}), None)
-        return 0
-    if fmt == "svg":
-        _emit(svg_text, None)
+        # All three texts are built before any is written: a schema error writes no file.
+        texts = {".samples.csv": sweep_csv(sweep), ".summary.csv": summary_csv(summary), ".svg": summary_svg(summary)}
+        for suffix, text in texts.items():
+            _emit(text, args.out + suffix)
+        _emit(json_dumps_g17({"status": "ok", "samples": len(sweep), "files": [args.out + s for s in texts]}), None)
+    elif args.format == "svg":
+        _emit(summary_svg(summary), None)
+    elif args.format == "json":
+        _emit(json_dumps_g17({"status": "ok", "samples": len(sweep), "summary_csv": summary_csv(summary)}), None)
     else:
-        _emit(json_dumps_g17({"status": "ok", "samples": len(sweep), "summary_csv": summary_text}), None)
+        # The per-sample rows fit any polygon; the summary formats hold only delta-S -2..+1.
+        _emit(sweep_csv(sweep), None)
     return 0
 
 

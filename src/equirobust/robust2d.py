@@ -827,7 +827,7 @@ def summarize_sweep(sweep: TruncationSweep, bins: int = 20) -> SweepSummary:
 
 SWEEP_CSV_HEADER = "theta,offset,side,relative_area,piece_S,delta_S,degenerate"
 SUMMARY_CSV_HEADER = "bin_lo,bin_hi,frac_dS_-2,frac_dS_-1,frac_dS_0,frac_dS_+1,frac_degenerate"
-_SUMMARY_CATEGORIES = (-2, -1, 0, 1)
+_SUMMARY_CATEGORIES = (-2, -1, 0, 1, "degenerate")
 
 
 def sweep_csv(sweep: TruncationSweep) -> str:
@@ -850,24 +850,20 @@ def sweep_csv(sweep: TruncationSweep) -> str:
     return "\n".join([SWEEP_CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
 
 
+def _require_summary_schema(summary: SweepSummary) -> None:
+    """Refuse the first delta-S, in ``summary.counts`` order, outside -2..+1."""
+    for cat in summary.counts:
+        if cat not in _SUMMARY_CATEGORIES:
+            raise ValueError(f"delta_S={cat} does not fit the summary schema")
+
+
 def summary_csv(summary: SweepSummary) -> str:
     """Binned summary CSV with fixed delta-S columns -2..+1 plus degenerate."""
-    for cat in summary.counts:
-        if cat != "degenerate" and cat not in _SUMMARY_CATEGORIES:
-            raise ValueError(f"delta_S={cat} does not fit the summary schema")
-    out = [SUMMARY_CSV_HEADER]
+    _require_summary_schema(summary)
     edges = summary.bin_edges
-    fracs = {c: summary.fractions(c) for c in _SUMMARY_CATEGORIES}
-    fdeg = summary.fractions("degenerate")
-    for b in range(len(edges) - 1):
-        out.append(
-            ",".join(
-                [fmt_g17(edges[b]), fmt_g17(edges[b + 1])]
-                + [fmt_g17(fracs[c][b]) for c in _SUMMARY_CATEGORIES]
-                + [fmt_g17(fdeg[b])]
-            )
-        )
-    return "\n".join(out) + "\n"
+    columns = [edges[:-1], edges[1:], *map(summary.fractions, _SUMMARY_CATEGORIES)]
+    rows = zip(*(map(fmt_g17, c.tolist()) for c in columns))
+    return "\n".join([SUMMARY_CSV_HEADER, *map(",".join, rows)]) + "\n"
 
 
 _SVG_COLORS = {
@@ -881,6 +877,7 @@ _SVG_COLORS = {
 
 def summary_svg(summary: SweepSummary, title: str = "Truncation sweep") -> str:
     """800x600 stacked-area chart of per-bin outcome fractions vs relative area."""
+    _require_summary_schema(summary)
     width, height = 800, 600
     ml, mr, mt, mb = 70, 160, 50, 60
     plot_w = width - ml - mr
@@ -888,9 +885,8 @@ def summary_svg(summary: SweepSummary, title: str = "Truncation sweep") -> str:
     edges = summary.bin_edges
     bins = len(edges) - 1
     centers = 0.5 * (edges[:-1] + edges[1:])
-    cats = [c for c in (-2, -1, 0, 1, "degenerate") if c in summary.counts]
     stacked = np.zeros(bins)
-    parts = []
+    parts, legend = [], []
 
     def x_px(x: float) -> float:
         return ml + x * plot_w
@@ -898,23 +894,17 @@ def summary_svg(summary: SweepSummary, title: str = "Truncation sweep") -> str:
     def y_px(y: float) -> float:
         return mt + (1.0 - y) * plot_h
 
-    for cat in cats:
-        frac = summary.fractions(cat)
-        lower = stacked.copy()
-        upper = stacked + frac
+    for i, cat in enumerate(c for c in _SUMMARY_CATEGORIES if c in summary.counts):
+        lower, upper = stacked, stacked + summary.fractions(cat)
         pts = [(x_px(c), y_px(u)) for c, u in zip(centers, upper)]
         pts += [(x_px(c), y_px(l)) for c, l in reversed(list(zip(centers, lower)))]
         path = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
         label = f"dS={cat:+d}" if isinstance(cat, int) else "degenerate"
         parts.append(f'<polygon points="{path}" fill="{_SVG_COLORS[cat]}" stroke="none"><title>{label}</title></polygon>')
-        stacked = upper
-
-    legend = []
-    for i, cat in enumerate(cats):
-        label = f"dS={cat:+d}" if isinstance(cat, int) else "degenerate"
         y = mt + 20 + i * 22
         legend.append(f'<rect x="{width - mr + 20}" y="{y}" width="14" height="14" fill="{_SVG_COLORS[cat]}"/>')
         legend.append(f'<text x="{width - mr + 40}" y="{y + 12}" font-size="13">{label}</text>')
+        stacked = upper
 
     axis = [
         f'<line x1="{ml}" y1="{y_px(0)}" x2="{width - mr}" y2="{y_px(0)}" stroke="black"/>',

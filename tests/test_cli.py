@@ -244,6 +244,33 @@ class TestSweep:
                 f'{{"status": "validation-error", "error": "delta_S={delta} does not fit the summary schema"}}\n'
             )
 
+    def test_each_format_builds_only_what_it_writes(self, run, monkeypatch, tmp_path):
+        # Each stdout format builds only its own text, and that text is the
+        # --out file of the same name.
+        from equirobust import cli
+
+        square = ("sweep", "--builtin", "square", "--samples", "200", "--seed", "1")
+        assert run(*square, "--out", str(tmp_path / "sq"))[0] == 0
+        files = {s: (tmp_path / f"sq{s}").read_text() for s in (".samples.csv", ".summary.csv", ".svg")}
+        builders = {name: getattr(cli, name) for name in ("sweep_csv", "summary_csv", "summary_svg")}
+
+        def only(allowed):
+            for name, build in builders.items():
+                monkeypatch.setattr(cli, name, build if name == allowed else lambda _, name=name: pytest.fail(f"{name} built"))
+
+        only("summary_csv")
+        code, out, err = run(*square, "--format", "json")
+        assert (code, err, json.loads(out)["summary_csv"]) == (0, "", files[".summary.csv"])
+        only("summary_svg")
+        assert run(*square, "--format", "svg") == (0, files[".svg"], "")
+        only("sweep_csv")
+        assert run(*square) == (0, files[".samples.csv"], "")
+        monkeypatch.undo()
+        code, out, _ = run("sweep", "--builtin", "ngon:9", "--samples", "300", "--seed", "4",
+                           "--out", str(tmp_path / "nine"))
+        assert (code, out) == (3, "")
+        assert not list(tmp_path.glob("nine*"))
+
     def test_sweep_needs_polygon(self, run):
         code, _, err = run("sweep", "--builtin", "cube", "--samples", "5", "--seed", "1")
         assert code == 3

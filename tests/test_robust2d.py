@@ -430,11 +430,17 @@ class TestSweep:
         assert sweep_csv(signed).splitlines()[1:3] == ["0,-0,1,0.25,2,-1,0", "0,0,-1,0.75,3,0,0"]
 
     def test_summary_rejects_out_of_schema_delta(self):
+        # Both renderers refuse the first delta-S outside -2..+1 in counts
+        # order; the chart does not draw -2..+1 alone.  A 9-gon's pieces
+        # reach delta-S -7.
         one = TruncationSweep(4, np.array([0.1]), np.array([0.2]), np.array([1]), np.array([0.3]), np.array([1]))
         summary = summarize_sweep(one, bins=5)
         assert list(summary.counts) == [-3]
-        with pytest.raises(ValueError):
-            summary_csv(summary)
+        _, nine = truncation_sweep(regular_ngon(9), 300, seed=4)
+        for summary, delta in ((summary, -3), (nine, -5)):
+            for render in (summary_csv, summary_svg):
+                with pytest.raises(ValueError, match=f"^delta_S={delta} does not fit the summary schema$"):
+                    render(summary)
 
     @pytest.mark.parametrize("lines", [100, 20_000])
     @pytest.mark.parametrize("n", [3, 8, 64])
