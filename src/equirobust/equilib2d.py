@@ -163,18 +163,19 @@ def stable_count(P: ConvexPolygon2, q: Sequence[float]) -> int:
 
 def _count_frames(P: ConvexPolygon2) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per vertex a: the anchor, the edge ``e`` to the next vertex, the edge
-    ``w`` to the previous one, and ``e·e`` as ``stable_count_batch`` forms it."""
+    ``w`` to the previous one, and ``e·e`` as ``stable_count`` forms it."""
     a = np.asarray(P.vertices, dtype=float)
     e = np.roll(a, -1, axis=0) - a
-    ee = np.array([float(x @ x) for x in e])
-    return a, e, np.roll(a, 1, axis=0) - a, ee
+    return a, e, np.roll(a, 1, axis=0) - a, e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]
 
 
 def stable_count_batch(P: ConvexPolygon2, qs: np.ndarray) -> np.ndarray:
     """Vectorized ``stable_count`` over an (m, 2) array of query points.
 
-    The sampled robustness walk reads this count from
-    ``stable_count_rays``' table and calls this only for the points the
+    Every product and sum is elementwise, in the order ``stable_count``
+    forms it, so each point's count is ``stable_count``'s, bit for bit,
+    whatever batch holds it.  The sampled robustness walk reads this count
+    from ``stable_count_rays``' table and calls this only for the points the
     table leaves undecided, so this is the walk's fallback and the table's
     test oracle.
     """
@@ -182,11 +183,11 @@ def stable_count_batch(P: ConvexPolygon2, qs: np.ndarray) -> np.ndarray:
     a, e, w, ee = _count_frames(P)
     counts = np.zeros(len(qs), dtype=int)
     for i in range(len(a)):
-        rel = qs - a[i]
-        d_next = rel @ e[i]
+        x, y = qs[:, 0] - a[i, 0], qs[:, 1] - a[i, 1]
+        d_next = x * e[i, 0] + y * e[i, 1]
         t = d_next / ee[i]
         counts += (t > 0.0) & (t < 1.0)
-        counts += (d_next < 0.0) & (rel @ w[i] < 0.0)
+        counts += (d_next < 0.0) & (x * w[i, 0] + y * w[i, 1] < 0.0)
     return counts
 
 

@@ -60,8 +60,8 @@ from .geom3d import (
     volume,
 )
 from .reports import RobustnessReport, json_dumps_g17
-from .util import RayTable, cached_cuts, family_cut, fibonacci_sphere, first_exit_distances, is_count, ray_intervals
-from .util import rotation_from_seed, signed_families
+from .util import BLOCK_CELLS, RayTable, cached_cuts, family_cut, fibonacci_sphere, first_exit_distances, is_count
+from .util import ray_intervals, rotation_from_seed, signed_families
 
 Point3 = tuple[float, float, float]
 Carrier = Union[int, tuple[int, int]]
@@ -212,18 +212,18 @@ def stable_count3(P: ConvexPolyhedron3, qs: np.ndarray) -> np.ndarray:
     The feet are never formed.  Each slot's in-face edge normal ``nu = u x n``
     is orthogonal to its face normal ``n``, and the foot differs from ``q``
     only by a multiple of ``n``, so ``(foot - a) . nu = (q - a) . nu``: the
-    foot is inside an edge line exactly when ``q`` is.  One matrix product per
-    block of queries then tests every slot, and a face counts when all its
-    slots do.
+    foot is inside an edge line exactly when ``q`` is.  One stacked product
+    per block of queries then tests every slot, and a face counts when all
+    its slots do.  Each query's row of that product is its own ``nu @ q``,
+    so a count does not depend on the batch that holds the query.
     """
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
     nu, c, starts = _slot_lines(P)
     counts = np.empty(len(qs), dtype=int)
-    # About 1.6 MB of float temporaries per block.
-    block = max(1, int(2e5) // len(c))
+    block = max(1, BLOCK_CELLS // len(c))
     for i in range(0, len(qs), block):
-        inside = nu @ qs[i : i + block].T < c[:, None]
-        counts[i : i + block] = np.logical_and.reduceat(inside, starts[:-1], axis=0).sum(axis=0)
+        inside = np.matmul(nu[None], qs[i : i + block, :, None])[..., 0] < c
+        counts[i : i + block] = np.logical_and.reduceat(inside, starts[:-1], axis=1).sum(axis=1)
     return counts
 
 
@@ -498,8 +498,6 @@ def _search_counts(piece: ConvexPolyhedron3) -> Optional[tuple[int, int]]:
     return int((face < -eps).sum()), int((vertex > eps).sum())
 
 
-#: Cells (cuts x parent slots) per chunk of the batched cut evaluator.
-_CUT3_CHUNK_CELLS = 1 << 14
 #: Twice the unit roundoff; the rounding bounds below count in it.
 _ULP = 2.0**-52
 
@@ -518,7 +516,7 @@ class _CutEvaluator3:
     Each family's normal is normalized and projected (``s = v @ n``) once, at
     build time, with the clip's own expressions, so every kept/crossing
     decision and crossing point is the clip's.  The cuts then run in chunks of
-    at most ``_CUT3_CHUNK_CELLS`` (cut, slot) cells.  When no vertex lies
+    at most ``BLOCK_CELLS`` (cut, slot) cells.  When no vertex lies
     within the merge distance of the plane and no two rim points are that
     close, the clip merges nothing: a piece's faces are the parent's faces in
     order, each the parent's own face if the cut keeps it whole, else the run
@@ -579,7 +577,7 @@ class _CutEvaluator3:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 d = e / self.norm[fam]
                 good = np.flatnonzero(self.usable[fam] & np.isfinite(d))
-                rows = max(1, _CUT3_CHUNK_CELLS // len(self.P.tails))
+                rows = max(1, BLOCK_CELLS // len(self.P.tails))
                 for lo in range(0, len(good), rows):
                     i = good[lo : lo + rows]
                     rel[i], S[i], U[i], scalar[i] = self._chunk(self.n[fam[i]], self.base[fam[i]] - d[i, None])
@@ -863,8 +861,7 @@ def plane_truncation_search(
         raise ValueError("grid needs at least 1 normal and 2 offsets")
     if not (math.isfinite(refine_tol) and refine_tol > 0.0):
         raise ValueError("refine_tol must be a positive finite number")
-    if not is_count(seed):
-        raise ValueError("seed must be an integer")
+    rotation = rotation_from_seed(seed)  # checks the seed
     eq0 = classify3(P, centroid3(P))
     if eq0.any_degenerate:
         raise DegenerateConfiguration("base classification is degenerate")
@@ -882,7 +879,7 @@ def plane_truncation_search(
     if S0 <= 1 and U0 <= 1:
         # A piece at its own centroid keeps a stable face and an unstable vertex.
         return RobustnessReport(kind=kind, value=None, method="search", status="no_reduction_found", details=details)
-    normals = fibonacci_sphere(n_normals) @ rotation_from_seed(seed).T
+    normals = fibonacci_sphere(n_normals) @ rotation.T
 
     # Each row of the product is the clip's own ``coords @ n``.
     proj = np.matmul(P.coords[None], normals[:, :, None])[..., 0]

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import tol
 from .errors import DegenerateInput, NonConvexInput
-from .util import fibonacci_sphere, fmt_g17
+from .util import BLOCK_CELLS, fibonacci_sphere, fmt_g17
 
 Point3 = tuple[float, float, float]
 
@@ -291,7 +291,7 @@ def polyhedron_new(vertices: Iterable[Sequence[float]], faces: Iterable[Sequence
     # Each face faces away from the interior point.
     flip = side > 0.0
     n[flip], d[flip] = -n[flip], -d[flip]
-    block = max(1, (1 << 16) // len(v))
+    block = max(1, BLOCK_CELLS // len(v))
     reach = np.concatenate([(v @ n[i : i + block].T - d[i : i + block]).max(axis=0) for i in range(0, len(n), block)])
     checks = np.stack([degenerate, not_planar, through, reach > eps], axis=1)
     if checks.any():

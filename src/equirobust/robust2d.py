@@ -51,7 +51,7 @@ from .geom2d import (
     dist_point_to_ray,
 )
 from .reports import RobustnessReport
-from .util import SPECULATE_CELLS, cached_cuts, family_cut, fmt_g17, is_count, signed_families
+from .util import BLOCK_CELLS, SPECULATE_CELLS, cached_cuts, family_cut, fmt_g17, is_count, seed_generator, signed_families
 
 log = logging.getLogger(__name__)
 
@@ -269,8 +269,6 @@ def _piece_stable(P: ConvexPolygon2, piece: Optional[ConvexPolygon2]) -> Optiona
     return eq.S
 
 
-#: Floats in one (rows, ring slots) temporary of the batched evaluator: 64 KB.
-_CUT_CHUNK_CELLS = 8192
 #: Largest polygon the batched evaluator takes: its run-diameter table stays under 1 MB.
 _CUT_MAX_VERTICES = 350
 #: Coordinate range it takes, so that no square underflows and no product overflows.
@@ -289,7 +287,7 @@ class _CutEvaluator:
     two arrays: the kept fraction of the area (1.0 when the cut misses, 0.0
     when the piece collapses) and the stable count at the piece's centroid
     (-1 where ``_piece_stable`` gives ``None``).  Rows are evaluated in padded
-    arrays of ``n + 3`` ring slots, in chunks of ``_CUT_CHUNK_CELLS // (n + 3)``
+    arrays of ``n + 3`` ring slots, in chunks of ``BLOCK_CELLS // (n + 3)``
     rows.  The chunk only bounds memory: every row's result is the same
     whatever the chunk, and callers batch cuts as they choose (the line
     search's rounds are sized by ``SPECULATE_CELLS``, not by the chunk).
@@ -343,7 +341,7 @@ class _CutEvaluator:
         count = np.full(m, -1)
         scalar = np.ones(m, dtype=bool)
         if self.batched:
-            rows = _CUT_CHUNK_CELLS // (self.P.n + 3)
+            rows = max(1, BLOCK_CELLS // (self.P.n + 3))
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 for lo in range(0, m, rows):
                     part = slice(lo, lo + rows)
@@ -768,8 +766,7 @@ def _draw_sweep_lines(P: ConvexPolygon2, samples: int, seed: int) -> tuple[np.nd
     is drawn up front in index order, so sample evaluation can be distributed
     and reduced in fixed order with identical results.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random((samples, 2))
+    u = seed_generator(seed).random((samples, 2))
     thetas = u[:, 0] * math.pi
     verts = np.asarray(P.vertices)
     normals = np.column_stack([np.cos(thetas), np.sin(thetas)])
@@ -800,10 +797,8 @@ def truncation_sweep(P: ConvexPolygon2, samples: int, seed: int, bins: int = 20)
     """
     _require_positive_count("samples", samples)
     _require_positive_count("bins", bins)
-    if not is_count(seed):
-        raise ValueError("seed must be an integer")
+    thetas, offsets = _draw_sweep_lines(P, samples, seed)  # checks the seed
     eq0 = equilibria(P, P.centroid)
-    thetas, offsets = _draw_sweep_lines(P, samples, seed)
     # math.cos and math.sin, as the scalar path: numpy's may differ in the last bit.
     nx = np.fromiter(map(math.cos, thetas.tolist()), float, len(thetas))
     ny = np.fromiter(map(math.sin, thetas.tolist()), float, len(thetas))

@@ -14,6 +14,11 @@ import numpy as np
 #: 2D line search's grid rounds span this many too: a larger round reads more
 #: cuts below the families' first reducing cuts.
 SPECULATE_CELLS = 4096
+#: Cells per block of every pass whose block only bounds memory and changes no
+#: result: (cut, slot) per evaluator chunk, (query, slot) per count, directions
+#: x slots per ray table block, faces per bracket split, events per grid read,
+#: points x coordinates per fallback call of the walk; 64 kB a temporary.
+BLOCK_CELLS = 1 << 13
 
 
 def is_count(x) -> bool:
@@ -79,9 +84,18 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
+def seed_generator(seed: int) -> np.random.Generator:
+    """The counter-based generator keyed by ``seed``, an integer in [0, 2**128)."""
+    if not is_count(seed):
+        raise ValueError("seed must be an integer")
+    if not 0 <= int(seed) < 2**128:
+        raise ValueError("seed must be an integer in [0, 2**128)")
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
 def rotation_from_seed(seed: int) -> np.ndarray:
     """Deterministic uniformly random 3x3 rotation matrix derived from a seed."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = seed_generator(seed)
     # Uniform rotation via a random unit quaternion.
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
@@ -95,16 +109,9 @@ def rotation_from_seed(seed: int) -> np.ndarray:
     )
 
 
-# Steps of the coarse grid and of each verification grid of the first-exit
-# walk below, and the most query points ``count_batch`` is asked for in one call.
+# Steps of the coarse grid and of each verification grid of the first-exit walk below.
 _EXIT_COARSE_STEPS = 128
 _EXIT_VERIFY_STEPS = 512
-_EXIT_BATCH_POINTS = 4096
-#: Cells per block of the ray tables below: directions x slots while a table
-#: is built, faces while brackets split them, events while a grid is read
-#: and rows x grid steps per fallback call; a block's temporaries take about
-#: 128 kB each.
-_RAY_BLOCK_CELLS = 1 << 14
 #: Unit roundoff of float64; the ray tables' rounding bounds count in it.
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -162,7 +169,7 @@ def ray_intervals(
     step where the bound can reach it.
 
     The table is built for blocks of directions, so its temporaries stay
-    near ``_RAY_BLOCK_CELLS`` cells.
+    near ``BLOCK_CELLS`` cells.
     """
     directions = np.asarray(directions, dtype=float)
     vectors = np.asarray(vectors, dtype=float)
@@ -170,7 +177,7 @@ def ray_intervals(
     norm1 = np.abs(vectors).sum(axis=1)
     alpha = 32.0 * u * (norm1 * scale + np.abs(thresholds))
     parts = []
-    block = max(1, _RAY_BLOCK_CELLS // len(vectors))
+    block = max(1, BLOCK_CELLS // len(vectors))
     for i in range(0, len(directions), block):
         dirs = directions[i : i + block]
         slope = dirs @ vectors.T
@@ -259,12 +266,12 @@ def _bracket_faces(table: RayTable, rows: np.ndarray, lo: np.ndarray, hi: np.nda
     throughout, whether a face is undecided throughout, and the bounds of
     the faces that can change inside the bracket, (4, rows, c) padded with
     NaN, which no comparison passes.  The faces are split in blocks of
-    about ``_RAY_BLOCK_CELLS``."""
+    about ``BLOCK_CELLS``."""
     sizes = table.ptr[rows + 1] - table.ptr[rows]
     base = np.zeros(len(rows), dtype=int)
     unsure = np.zeros(len(rows), dtype=bool)
     owners, kept = [np.zeros(0, dtype=int)], [np.zeros((4, 0))]
-    block = max(1, _RAY_BLOCK_CELLS // max(1, int(sizes.max(initial=0))))
+    block = max(1, BLOCK_CELLS // max(1, int(sizes.max(initial=0))))
     for i in range(0, len(rows), block):
         n = sizes[i : i + block]
         owner = np.repeat(np.arange(i, i + len(n)), n)
@@ -317,11 +324,11 @@ def first_exit_distances(
     change inside it.  Only a query that the table leaves undecided goes to
     ``count_batch``, which stays the fallback: a grid asks it for each
     row's undecided steps below that row's first certainly bad one, in
-    row-major order, each call within one block of ``_RAY_BLOCK_CELLS //
-    (steps + 1)`` rows.  The brackets, and so the distances, equal those of
-    a walk that asks ``count_batch`` for one step at a time; a fallback
-    query is formed exactly as that walk forms it, and the calls hold at
-    most ``_EXIT_BATCH_POINTS`` points.
+    row-major order.  ``count_batch`` must give each point the count it
+    gives that point alone; then the brackets, and so the distances, equal
+    those of a walk that asks it for one step at a time.  A fallback query
+    is formed exactly as that walk forms it, and a call holds at most
+    ``BLOCK_CELLS // k`` points.
     """
     directions = np.asarray(directions, dtype=float)
     m = directions.shape[0]
@@ -330,8 +337,9 @@ def first_exit_distances(
 
     def scalar(steps: np.ndarray, rows: np.ndarray) -> np.ndarray:
         counts = np.empty(len(steps), dtype=int)
-        for i in range(0, len(steps), _EXIT_BATCH_POINTS):
-            part = slice(i, i + _EXIT_BATCH_POINTS)
+        block = max(1, BLOCK_CELLS // directions.shape[1])
+        for i in range(0, len(steps), block):
+            part = slice(i, i + block)
             counts[part] = count_batch(origin[None, :] + steps[part, None] * directions[rows[part]])
         return counts
 
@@ -345,8 +353,8 @@ def first_exit_distances(
         asks = []
         i = 0
         while i < m:
-            # Rows whose faces give about _RAY_BLOCK_CELLS events.
-            j = max(i + 1, int(np.searchsorted(table.ptr, table.ptr[i] + _RAY_BLOCK_CELLS // 4, side="right")) - 1)
+            # Rows whose faces give about BLOCK_CELLS events.
+            j = max(i + 1, int(np.searchsorted(table.ptr, table.ptr[i] + BLOCK_CELLS // 4, side="right")) - 1)
             row, start, end, inside, within = _grid_segments(table, i, j, grid)
             row += i
             # A row's first decided bad segment ends its walk.
@@ -363,12 +371,7 @@ def first_exit_distances(
         size = end - start
         ask_r = np.repeat(row, size)
         ask_k = np.arange(len(ask_r)) + np.repeat(start - (np.cumsum(size) - size), size)
-        # In row-major order, each call within one block of
-        # _RAY_BLOCK_CELLS // (n + 1) rows, as a dense read of the grid asks.
-        hit = np.zeros(len(ask_r), dtype=bool)
-        cut = np.unique(ask_r // max(1, _RAY_BLOCK_CELLS // (n + 1)), return_index=True)[1].tolist()
-        for a, b in zip(cut, cut[1:] + [len(ask_r)]):
-            hit[a:b] = scalar(grid[ask_k[a:b]], ask_r[a:b]) != target_count
+        hit = scalar(grid[ask_k], ask_r) != target_count
         hit_r, hit_k = ask_r[hit], ask_k[hit]
         lead = hit_r != np.append(-1, hit_r[:-1])
         first[hit_r[lead]] = hit_k[lead]

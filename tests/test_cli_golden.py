@@ -66,6 +66,8 @@ GOLDEN = {
         "a5245e39a6602927283e7bd3a43f050c4f8d09a5e4419128907f16d4100073f7",
     "robust --builtin square --kind full-line --tol 0":
         "6533f51c37f865f1070e5fe29a6daa85830ac4af174cd2caf631014be49bed68",
+    "robust --builtin cube --kind partial-any --seed -1":
+        "6f95c393877c65419fafb052852db86c0035a7d6d9fcbf6b6820fd31b3d3b542",
     # sweep
     "sweep --builtin square --samples 200 --seed 1":
         "e880694d45f4eb2f1dda0e8e4a86e8ae280777c0f15c577517750324b452894c",
@@ -91,6 +93,8 @@ GOLDEN = {
         "f9aeafbd6bee5a86baa4cc6e9e902341a72e0afcee1bee788699451e13b2d937",
     "sweep --builtin square --samples 10 --seed 1 --bins 0":
         "c9288030164e0eda2a9fc87cda3c2a5affcce517a70154352fc95892390f73c8",
+    "sweep --builtin square --samples 10 --seed -1":
+        "6f95c393877c65419fafb052852db86c0035a7d6d9fcbf6b6820fd31b3d3b542",
     "sweep --builtin cube --samples 5 --seed 1":
         "65861e59ef1c40f69ea13059daa3f85e86a1c2c5f686c40e9dd2a993027cb0e5",
     "sweep --builtin rect:1:2 --samples 300 --seed 4 --bins 9 --format json --out <OUT>":

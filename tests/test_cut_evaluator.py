@@ -29,7 +29,7 @@ from equirobust.robust2d import (
     sweep_csv,
     truncation_sweep,
 )
-from equirobust.util import SPECULATE_CELLS
+from equirobust.util import BLOCK_CELLS, SPECULATE_CELLS
 
 from conftest import random_convex_polygon, unit_square
 
@@ -312,7 +312,7 @@ class TestChunks:
     @pytest.mark.parametrize("n", [3, 64, robust2d._CUT_MAX_VERTICES])
     def test_batch_over_three_chunks_matches_single_cuts(self, rng, monkeypatch, n):
         P = regular_ngon(n) if n % 2 else random_convex_polygon(rng, n)
-        rows = robust2d._CUT_CHUNK_CELLS // (n + 3)
+        rows = BLOCK_CELLS // (n + 3)
         m = 2 * rows + 5
         theta = rng.random(m) * math.pi
         lo, hi = np.array([P.support_interval(math.cos(t), math.sin(t)) for t in theta.tolist()]).T

@@ -167,6 +167,21 @@ class TestRelaxedCount:
         for q, c in zip(qs, batch):
             assert stable_count(poly, q) == c
 
+    def test_points_on_edge_normals_count_alone_as_in_a_batch(self):
+        # On the line through vertex j normal to edge j, a_j + r·(-e_y, e_x),
+        # the foot test t > 0 and the vertex test d_next < 0 are decided by
+        # the last bits of rel·e; a point's count must not depend on its
+        # batch, and must be the scalar count.
+        rng = np.random.default_rng(31)
+        P = regular_ngon(64)
+        a = np.asarray(P.vertices)
+        e = np.roll(a, -1, axis=0) - a
+        j = rng.integers(0, len(a), 1000)
+        qs = a[j] + rng.uniform(-2.0, 2.0, 1000)[:, None] * np.column_stack([-e[j, 1], e[j, 0]])
+        batch = stable_count_batch(P, qs)
+        assert np.array_equal(batch, [stable_count_batch(P, qs[k : k + 1])[0] for k in range(len(qs))])
+        assert np.array_equal(batch, [stable_count(P, q) for q in qs])
+
     def test_exterior_matches_scan_oracle(self, rng):
         for _ in range(50):
             poly = random_convex_polygon(rng, int(rng.integers(3, 10)))

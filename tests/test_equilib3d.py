@@ -35,6 +35,7 @@ from equirobust.equilib3d import (
     stable_count3,
 )
 from equirobust.equilib3d import _search_counts
+from equirobust.util import BLOCK_CELLS
 
 from conftest import random_hull3, random_interior_point3
 
@@ -291,10 +292,29 @@ class TestStableCount:
 
     def test_blocks_match_single_point_calls(self):
         P = generator_truncated_cylinder(1.0, 3.0)
-        block = int(2e5) // len(P.slot_arrays[0])
+        block = BLOCK_CELLS // len(P.slot_arrays[0])
         qs = np.random.default_rng(5).uniform(-2.5, 2.5, size=(3 * block + 7, 3))
         single = [stable_count3(P, q[None, :])[0] for q in qs]
         assert np.array_equal(stable_count3(P, qs), single)
+
+    @pytest.mark.parametrize("body", ["cylcut", "icosa", "hull12"])
+    def test_points_on_slot_walls_count_alone_as_in_a_batch(self, body):
+        # On a slot's wall, a + t·u + s·n, its test nu·q < c is decided by the
+        # last bits of nu·q; a point's count must not depend on its batch.
+        rng = np.random.default_rng(29)
+        P = {
+            "cylcut": lambda: generator_truncated_cylinder(1.0, 3.0),
+            "icosa": lambda: platonic("icosa"),
+            "hull12": lambda: random_hull3(rng, 12),
+        }[body]()
+        a, _, u, lengths = P.edge_frames
+        n = P.plane_normals[P.slot_arrays[2]]
+        j = rng.integers(0, len(a), 3000)
+        t = rng.uniform(-0.5, 1.5, 3000) * lengths[j]
+        h = rng.uniform(-1.0, 1.0, 3000) * P.scale
+        qs = a[j] + t[:, None] * u[j] + h[:, None] * n[j]
+        batch = stable_count3(P, qs)
+        assert np.array_equal(batch, [stable_count3(P, qs[k : k + 1])[0] for k in range(len(qs))])
 
 
 def _foot_based_count(P, qs):
@@ -496,6 +516,15 @@ class TestTruncationSearch:
     def test_seed_must_be_an_integer(self, seed):
         with pytest.raises(ValueError, match="^seed must be an integer$"):
             plane_truncation_search(platonic("cube"), "reduce_any", (4, 4), 1e-4, seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, np.int64(-1)])
+    def test_seed_outside_the_key_range_is_refused(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*128\)$"):
+            plane_truncation_search(platonic("cube"), "reduce_any", (4, 4), 1e-4, seed)
+
+    def test_largest_uint64_seed_is_a_key(self):
+        rep = plane_truncation_search(platonic("cube"), "reduce_any", (4, 4), 1e-4, np.uint64(2**64 - 1))
+        assert rep.to_json() == plane_truncation_search(platonic("cube"), "reduce_any", (4, 4), 1e-4, 2**64 - 1).to_json()
 
     def test_numpy_integer_seed_is_stored_as_int(self):
         rep = plane_truncation_search(platonic("cube"), "reduce_any", (4, 4), 1e-4, np.int64(1))

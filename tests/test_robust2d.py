@@ -539,6 +539,15 @@ class TestSweep:
         with pytest.raises(ValueError, match="^seed must be an integer$"):
             truncation_sweep(unit_square(), 4, seed)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128, np.int64(-1)])
+    def test_seed_outside_the_key_range_is_refused(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*128\)$"):
+            truncation_sweep(unit_square(), 4, seed)
+
+    def test_largest_uint64_seed_is_a_key(self):
+        sweep, _ = truncation_sweep(unit_square(), 4, np.uint64(2**64 - 1))
+        assert sweep_csv(sweep) == sweep_csv(truncation_sweep(unit_square(), 4, 2**64 - 1)[0])
+
     @pytest.mark.parametrize("bins", [2.5, True, np.float64(4)])
     def test_summary_bins_must_be_an_integer(self, bins):
         sweep, _ = truncation_sweep(unit_square(), 1, seed=1)

@@ -5,11 +5,11 @@ import warnings
 import numpy as np
 
 from conftest import random_convex_polygon
-from equirobust import util
+from equirobust import equilib3d, geom3d, robust2d, util
 from equirobust.equilib2d import stable_count_batch, stable_count_rays
-from equirobust.equilib3d import _slot_lines, rho_in_sampled_3d, stable_count3, stable_count3_rays
+from equirobust.equilib3d import _slot_lines, plane_truncation_search, rho_in_sampled_3d, stable_count3, stable_count3_rays
 from equirobust.geom2d import polygon_new, regular_ngon
-from equirobust.geom3d import centroid3, generator_prism, generator_truncated_cylinder, platonic
+from equirobust.geom3d import centroid3, generator_prism, generator_truncated_cylinder, off_dumps, platonic, polyhedron_new
 from equirobust.util import RayTable, fibonacci_sphere, first_exit_distances
 
 
@@ -94,7 +94,7 @@ def _ray_counts(table, steps, rows):
     sizes = np.diff(table.ptr)
     counts = np.empty(len(steps), dtype=int)
     undecided = np.empty(len(steps), dtype=bool)
-    block = max(1, util._RAY_BLOCK_CELLS // max(1, int(sizes.max(initial=0))))
+    block = max(1, util.BLOCK_CELLS // max(1, int(sizes.max(initial=0))))
     for i in range(0, len(steps), block):
         n = sizes[rows[i : i + block]]
         query = np.repeat(np.arange(len(n)), n)
@@ -128,9 +128,14 @@ def _grid_counts(table, first, stop, grid):
     return inside, within > inside
 
 
+#: The most points a fallback call of a 2D walk holds.
+_FALLBACK_POINTS_2D = util.BLOCK_CELLS // 2
+
+
 def _dense_walk(count_batch, origin, directions, target_count, s_max, tol, table):
     """Reference: ``first_exit_distances`` reading each grid as dense
-    (rows, steps) counts and each bisection step from every face of its row."""
+    (rows, steps) counts, in blocks of rows, and each bisection step from
+    every face of its row."""
     directions = np.asarray(directions, dtype=float)
     m = directions.shape[0]
     all_rows = np.arange(m)
@@ -139,15 +144,15 @@ def _dense_walk(count_batch, origin, directions, target_count, s_max, tol, table
 
     def scalar(steps, rows):
         counts = np.empty(len(steps), dtype=int)
-        for i in range(0, len(steps), util._EXIT_BATCH_POINTS):
-            part = slice(i, i + util._EXIT_BATCH_POINTS)
+        for i in range(0, len(steps), _FALLBACK_POINTS_2D):
+            part = slice(i, i + _FALLBACK_POINTS_2D)
             counts[part] = count_batch(origin[None, :] + steps[part, None] * directions[rows[part]])
         return counts
 
     def first_bad(grid):
         n = len(grid)
         first = np.full(m, -1)
-        block = max(1, util._RAY_BLOCK_CELLS // (n + 1))
+        block = max(1, util.BLOCK_CELLS // (n + 1))
         for i in range(0, m, block):
             rows = all_rows[i : i + block]
             counts, undecided = _grid_counts(table, i, i + len(rows), grid)
@@ -251,7 +256,7 @@ class TestFirstExitDistances:
         assert rounds >= 2  # the shells the coarse scan skips need a second round
         assert (want == 10.0).any() and (want < 1.6).any()
         assert np.array_equal(got, want)
-        assert max(sizes) <= util._EXIT_BATCH_POINTS
+        assert max(sizes) <= _FALLBACK_POINTS_2D
 
     def test_change_exactly_at_grid_steps(self):
         # s_max = 8: coarse steps are k/16 and, with the first bracket at 4,
@@ -276,7 +281,7 @@ class TestFirstExitDistances:
 
     def test_more_rows_than_one_batch(self):
         origin = np.array([0.3, -0.2])
-        dirs = _unit_directions(util._EXIT_BATCH_POINTS + 903)
+        dirs = _unit_directions(_FALLBACK_POINTS_2D + 903)
         count = _shells(origin)
         want, _ = _first_exit_stepwise(count, origin, dirs, 2, 10.0, 1e-6)
         got = _plain_walk(count, origin, dirs, 2, 10.0, 1e-6)
@@ -345,7 +350,7 @@ class TestRayTables:
             assert np.array_equal(plain, want)
             assert (want < 8.0).any() and (want == 8.0).any()
             assert 0 < sum(sizes)  # undecided steps went to the fallback
-            assert max(sizes) <= util._EXIT_BATCH_POINTS
+            assert max(sizes) <= _FALLBACK_POINTS_2D
 
     def test_3d_table_matches_scalar_near_breakpoints(self):
         rng = np.random.default_rng(3)
@@ -526,9 +531,12 @@ class TestEventReads:
             got_batch, got_calls = _recording_points(count)
             got = first_exit_distances(got_batch, origin, dirs, target, 8.0, 1e-6, table)
             assert np.array_equal(got, want)
-            assert len(got_calls) == len(want_calls) > 0
-            assert all(np.array_equal(a, b) for a, b in zip(got_calls, want_calls))
-            assert max(map(len, got_calls)) <= util._EXIT_BATCH_POINTS
+            # The walk asks the fallback for the points the dense read asks
+            # for, no more, though it may group them into fewer calls.
+            assert len(want_calls) > 0
+            got_points, want_points = (np.unique(np.concatenate(c), axis=0, return_counts=True) for c in (got_calls, want_calls))
+            assert all(np.array_equal(g, w) for g, w in zip(got_points, want_points))
+            assert max(map(len, got_calls)) <= _FALLBACK_POINTS_2D
             assert np.array_equal(got, _plain_walk(count, origin, dirs, target, 8.0, 1e-6))
             assert (want < 8.0).any()
 
@@ -610,3 +618,32 @@ class TestSearchHelpers:
             assert got[0].tolist() == [2.0 * e for _, e in keys]
         seen = [key for call in calls for key in call]
         assert len(seen) == len(set(seen)) == len(cache)
+
+
+class TestBlockSize:
+    def test_a_block_of_seven_cells_changes_no_output(self, monkeypatch):
+        # Every block only bounds memory, so a block smaller than one row of
+        # any pass (one cut, query or direction per block) gives every byte
+        # that the default block gives.
+        rng = np.random.default_rng(41)
+        poly = random_convex_polygon(rng, 9)
+        ref = np.asarray(poly.centroid) + 0.05 * poly.diameter
+        body = platonic("dodeca")
+        cyl = generator_truncated_cylinder(1, 3)
+        table, count, dirs = _planted_rays(rng, 60, 4, _STEPS)  # a walk that falls back
+
+        def outputs():
+            return [
+                first_exit_distances(count, np.zeros(2), dirs, 0, 8.0, 1e-6, table).tobytes(),
+                robust2d.sweep_csv(robust2d.truncation_sweep(poly, 60, 3)[0]),
+                robust2d.full_robustness_line_bound(poly, 12, 8).to_json(),
+                plane_truncation_search(body, "reduce_any", (4, 4), 1e-4, 3).to_json(),
+                robust2d.rho_in_sampled(poly, ref, directions=90).to_json(),
+                rho_in_sampled_3d(body, np.asarray(centroid3(body)) + 0.02 * body.scale, directions=128).to_json(),
+                off_dumps(polyhedron_new(cyl.vertices, cyl.faces)),
+            ]
+
+        want = outputs()
+        for module in (util, geom3d, equilib3d, robust2d):  # each module that reads the block
+            monkeypatch.setattr(module, "BLOCK_CELLS", 7)
+        assert outputs() == want
