@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -515,11 +516,12 @@ class _CutEvaluator3:
 
     Each family's normal is normalized and projected (``s = v @ n``) once, at
     build time, with the clip's own expressions, so every kept/crossing
-    decision and crossing point is the clip's.  The cuts then run in chunks of
-    at most ``BLOCK_CELLS`` (cut, slot) cells.  When no vertex lies
-    within the merge distance of the plane and no two rim points are that
-    close, the clip merges nothing: a piece's faces are the parent's faces in
-    order, each the parent's own face if the cut keeps it whole, else the run
+    decision and crossing point is the clip's.  A cut spans ``cells``, the
+    body's ``len(tails)`` face slots, and the cuts run in chunks of at most
+    ``BLOCK_CELLS`` (cut, slot) cells.  When no vertex lies within the merge
+    distance of the plane and no two rim points are that close, the clip
+    merges nothing: a piece's faces are the parent's faces in order, each the
+    parent's own face if the cut keeps it whole, else the run
     of kept tails and crossing points the clip emits, then the rim in the
     order of the clip's own kernel, ``_rim_order``.  Its volume is the same fan
     summed by the same reduction (a row of cuts with equal triangle counts).
@@ -534,6 +536,7 @@ class _CutEvaluator3:
         self.P = P
         self.M = np.ascontiguousarray(M, dtype=float).reshape(-1, 3)
         self.vol0 = volume(P)
+        self.cells = len(P.tails)
         v = P.coords
         self.reach = float(np.sqrt((v * v).sum(1)).max())
         # The clip's merge distance, raised far above the rounding of a signed
@@ -565,6 +568,29 @@ class _CutEvaluator3:
         self.by_tail = np.argsort(tails, kind="stable")
         self.tail_start = np.searchsorted(tails[self.by_tail], np.arange(len(v)))
 
+    @cached_property
+    def delta(self) -> float:
+        """How far the relative volume a cut removes, as computed here, can
+        rise while ``e`` grows along one family of cuts.
+
+        Along a family every kept/crossing decision moves one way as ``e`` grows
+        (the clip's ``v @ n - d`` falls with ``d``), so the piece spanned by the
+        kept vertices and the exact crossing points only grows, and the volume it
+        removes only falls.  A computed value lies within ``err`` of that volume
+        (over ``vol0``), so it rises by at most ``2 err``.  ``err`` sums, with D
+        the bounding-box diagonal, R the farthest vertex from the origin, A the
+        surface area (no piece has more) and T <= 2 * cells the fan triangles of
+        a piece: the origin fan's terms and sum, under ``8 (T + 10) ulp R (D^2 +
+        A)``, which also covers the crossing points' rounding; a rim vertex kept
+        up to ``eps`` off the plane, ``2 eps A``; and the clip's merges, which move
+        a point by at most a chain of merge distances through every point, ``2
+        cells merge A``.
+        """
+        D, area = self.P.scale, self.P.mass_properties[2]
+        rounding = 8.0 * (2 * self.cells + 10) * _ULP * self.reach * (D * D + area)
+        geometry = 2.0 * (self.P.eps + self.cells * _merge_distance(self.P)) * area
+        return 2.0 * ((rounding + geometry) / self.vol0 + _ULP)
+
     def __call__(self, fam, e) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         fam = np.asarray(fam, dtype=np.intp).reshape(-1)
         e = np.asarray(e, dtype=float).reshape(-1)
@@ -577,7 +603,7 @@ class _CutEvaluator3:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 d = e / self.norm[fam]
                 good = np.flatnonzero(self.usable[fam] & np.isfinite(d))
-                rows = max(1, BLOCK_CELLS // len(self.P.tails))
+                rows = max(1, BLOCK_CELLS // self.cells)
                 for lo in range(0, len(good), rows):
                     i = good[lo : lo + rows]
                     rel[i], S[i], U[i], scalar[i] = self._chunk(self.n[fam[i]], self.base[fam[i]] - d[i, None])
@@ -779,32 +805,6 @@ class _CutEvaluator3:
         return rel, S, U, scalar
 
 
-def _removed_volume_slack(P: ConvexPolyhedron3) -> float:
-    """How far the relative volume a cut of ``P`` removes, as the search
-    computes it, can rise while ``e`` grows along one family of cuts.
-
-    Along a family every kept/crossing decision moves one way as ``e`` grows
-    (the clip's ``v @ n - d`` falls with ``d``), so the piece spanned by the
-    kept vertices and the exact crossing points only grows, and the volume it
-    removes only falls.  A computed value lies within ``err`` of that volume
-    (over ``vol0``), so it rises by at most ``2 err``.  ``err`` sums, with D
-    the bounding-box diagonal, R the farthest vertex from the origin, A the
-    surface area (no piece has more) and T <= 2 * slots the fan triangles of
-    a piece: the origin fan's terms and sum, under ``8 (T + 10) ulp R (D^2 +
-    A)``, which also covers the crossing points' rounding; a rim vertex kept
-    up to ``eps`` off the plane, ``2 eps A``; and the clip's merges, which move
-    a point by at most a chain of merge distances through every point, ``2
-    slots merge A``.
-    """
-    vol0, _, area = P.mass_properties
-    slots = len(P.tails)
-    R = float(np.sqrt((P.coords * P.coords).sum(1)).max())
-    D = P.scale
-    rounding = 8.0 * (2 * slots + 10) * _ULP * R * (D * D + area)
-    geometry = 2.0 * (P.eps + slots * _merge_distance(P)) * area
-    return 2.0 * ((rounding + geometry) / vol0 + _ULP)
-
-
 def plane_truncation_search(
     P: ConvexPolyhedron3,
     target: str = "reduce_any",
@@ -830,22 +830,22 @@ def plane_truncation_search(
     its bracket runs toward the support end, which removes nothing and is
     never evaluated.  All grid cuts are one evaluator batch; then the live
     brackets bisect in lockstep through ``util.cached_cuts``, whose cache
-    holds the grid and every midpoint (a cut spans the body's ``len(tails)``
-    face slots) and whose speculation takes both of the next step's
-    midpoints, ``0.5 * (e_a + mid)`` and ``0.5 * (mid + e_b)``, so the next
-    step finds its midpoint cached whichever end moved; the 60-step cap
-    counts steps.  Each predicate's witness is its cheapest bracket, the
+    holds the grid and every midpoint (a cut spans the evaluator's ``cells``,
+    the body's ``len(tails)`` face slots) and whose speculation takes both of
+    the next step's midpoints, ``0.5 * (e_a + mid)`` and
+    ``0.5 * (mid + e_b)``, so the next step finds its midpoint cached
+    whichever end moved; the 60-step cap counts steps.  Each predicate's witness is its cheapest bracket, the
     first in (normal, side) order among equals; it reports ``n``, the
     unsigned offset and the side (``util.family_cut``).
 
     A bracket also stops once its non-reducing end removes more than its
     predicate's incumbent (the least ``rel_a`` over its brackets) plus
     ``2δ``, and so the cells of a call count only the live brackets.  The
-    volume removed falls as ``e`` grows, and ``δ`` from
-    ``_removed_volume_slack`` bounds how far its computed value can rise
-    instead, so every value such a bracket could still reach, and the one it
-    keeps, lies above whatever the incumbent's bracket ends with: the
-    witnesses and partial values are those of bisecting every bracket.  A
+    volume removed falls as ``e`` grows, and ``δ``, the evaluator's
+    ``delta``, bounds how far its computed value can rise instead, so every
+    value such a bracket could still reach, and the one it keeps, lies above
+    whatever the incumbent's bracket ends with: the witnesses and partial
+    values are those of bisecting every bracket.  A
     body whose S0 and U0 are both 1 has no reducing cut (a piece keeps a
     stable face and an unstable vertex) and returns before its grid.
     """
@@ -906,11 +906,10 @@ def plane_truncation_search(
 
     # A bracket whose non-reducing end removes more than its predicate's
     # incumbent, by more than the computed volume can rise, ends above it.
-    delta = _removed_volume_slack(P)
     for step in range(60):
         incumbent = np.full(2, np.inf)
         np.minimum.at(incumbent, pred, rel_a)
-        above = rel_b > incumbent[pred] + 2.0 * delta
+        above = rel_b > incumbent[pred] + 2.0 * evaluate.delta
         live = np.flatnonzero((np.abs(rel_a - rel_b) > refine_tol) & ~above)
         if not len(live):
             break
@@ -921,7 +920,7 @@ def plane_truncation_search(
         def ahead():  # the next step's midpoint, whichever end this one moves; the 60th step has none
             return [] if step == 59 else [*zip(f, (0.5 * (a + mid)).tolist()), *zip(f, (0.5 * (mid + b)).tolist())]
 
-        r, s, u = cached_cuts(evaluate, cache, list(zip(f, mid.tolist())), ahead, len(P.tails))
+        r, s, u = cached_cuts(evaluate, cache, list(zip(f, mid.tolist())), ahead, evaluate.cells)
         ok = s >= 0
         red = ok & np.where(pred[live] == 0, s < S0, u < U0)
         e_a[live[red]], rel_a[live[red]] = mid[red], r[red]

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import tol
 from .errors import DegenerateInput, NonConvexInput
-from .util import fmt_g17
+from .util import fmt_g17, is_count
 
 Point2 = tuple[float, float]
 
@@ -224,8 +225,8 @@ def regular_ngon(S: int, circumradius: Optional[float] = None, center: Point2 = 
 
     With ``circumradius=None`` the polygon is scaled to unit perimeter.
     """
-    if S < 3:
-        raise ValueError("a regular polygon needs S >= 3")
+    if not (is_count(S) and S >= 3):
+        raise ValueError("a regular polygon needs an integer S >= 3")
     if circumradius is None:
         r = 1.0 / (2.0 * S * math.sin(math.pi / S))
     else:
@@ -431,6 +432,13 @@ def polygon_from_json(text: str) -> ConvexPolygon2:
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise DegenerateInput('polygon JSON must be an object with a "vertices" array')
     verts = obj["vertices"]
-    if not isinstance(verts, list) or any(not isinstance(v, list) or len(v) != 2 for v in verts):
-        raise DegenerateInput("polygon JSON vertices must be [x, y] pairs")
+    if not isinstance(verts, list) or any(not (isinstance(v, list) and len(v) == 2 and all(map(_json_number, v))) for v in verts):
+        raise DegenerateInput("polygon JSON vertices must be [x, y] pairs of numbers")
     return ConvexPolygon2(verts)
+
+
+def _json_number(c) -> bool:
+    """Whether ``c`` is a JSON number that ``float`` takes: an int or a float,
+    not a bool (nor a string, null, an object or an array), and not an integer
+    beyond the float range."""
+    return isinstance(c, (int, float)) and not isinstance(c, bool) and not abs(c) > sys.float_info.max

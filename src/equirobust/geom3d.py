@@ -33,7 +33,7 @@ import numpy as np
 
 from . import tol
 from .errors import DegenerateInput, NonConvexInput
-from .util import BLOCK_CELLS, fibonacci_sphere, fmt_g17
+from .util import BLOCK_CELLS, fibonacci_sphere, fmt_g17, is_count
 
 Point3 = tuple[float, float, float]
 
@@ -320,8 +320,8 @@ def hull3(points: Iterable[Sequence[float]]) -> ConvexPolyhedron3:
     from scipy.spatial import ConvexHull
 
     pts = np.asarray([[float(c) for c in p] for p in points], dtype=float)
-    if len(pts) < 4:
-        raise DegenerateInput("hull needs at least 4 points")
+    if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 4:
+        raise DegenerateInput("hull needs at least 4 points of three coordinates")
     try:
         hull = ConvexHull(pts)
     except Exception as exc:  # qhull reports degeneracy via generic errors
@@ -685,8 +685,8 @@ def platonic(name: str, edge: Optional[float] = None) -> ConvexPolyhedron3:
 
 def generator_prism(ngon: int, height: float) -> ConvexPolyhedron3:
     """Right prism over a regular ``ngon`` (circumradius 1) along the z axis."""
-    if ngon < 3:
-        raise ValueError("prism base needs at least 3 vertices")
+    if not (is_count(ngon) and ngon >= 3):
+        raise ValueError("prism base needs an integer count of at least 3 vertices")
     if not height > 0.0:
         raise ValueError("height must be positive")
     h = height / 2.0
@@ -709,8 +709,8 @@ def generator_truncated_cylinder(r: float, d: float, facets: int = 32) -> Convex
     """
     if not (r > 0.0 and d > 0.0):
         raise ValueError("radius and length must be positive")
-    if facets < 32:
-        raise ValueError("facets must be at least 32")
+    if not (is_count(facets) and facets >= 32):
+        raise ValueError("facets must be an integer of at least 32")
     if facets % 4 != 0:
         raise ValueError("facets must be a multiple of 4")
     m = facets

@@ -20,8 +20,10 @@ A side of a cut is a signed normal: the piece on side ``side`` of the line
 in this module, the sector clips of ``rho_ex_exact`` included, is written so.
 
 The sweep and the line search evaluate their cuts with one batched
-evaluator, ``_CutEvaluator``, which gives the scalar clip-and-classify
-path's results bit for bit and hands it the few cuts it cannot certify.
+evaluator, ``_CutEvaluator``, built on the polygon and the signed normals of
+its cut families and called as ``evaluate(fam, e)``, as the 3D plane search's
+is.  It gives the scalar clip-and-classify path's results bit for bit and
+hands it the few cuts it cannot certify.
 Its results stay arrays (stable count -1 for an unusable piece), and a sweep
 is returned as the columns of a ``TruncationSweep``, with ``piece_S = -1``
 for a degenerate piece.  The line search lays out its cut families and
@@ -153,6 +155,10 @@ def rho_in_sampled(P: ConvexPolygon2, p: Sequence[float], directions: int = 720,
     ``stable_count_batch`` only where the table cannot certify them.
     ``directions`` must be positive and ``tol_step`` positive and finite.
     """
+    # Imported here, not at the top: a tracer that wraps ``util.first_exit_distances``
+    # sees the 2D walk only through this lookup at call time.  A module-level
+    # name would keep the unwrapped function, and the walk's time would show
+    # as this function's own.
     from .util import first_exit_distances
 
     _require_positive_count("directions", directions)
@@ -282,15 +288,17 @@ _LENGTH_SLACK = 1e-13
 class _CutEvaluator:
     """Kept area fraction and piece stable count for batches of cuts of one polygon.
 
-    A call takes m cuts ``n·z <= d`` and returns, row for row and bit for bit,
+    The evaluator is built on the polygon and its families of cuts: row ``f``
+    of ``M`` is family f's signed normal.  A call ``evaluate(fam, e)`` takes m
+    cuts ``M[fam[i]]·z <= e[i]`` and returns, cut for cut and bit for bit,
     what :func:`clip_halfplane_nd` followed by :func:`_piece_stable` gives, as
     two arrays: the kept fraction of the area (1.0 when the cut misses, 0.0
     when the piece collapses) and the stable count at the piece's centroid
-    (-1 where ``_piece_stable`` gives ``None``).  Rows are evaluated in padded
-    arrays of ``n + 3`` ring slots, in chunks of ``BLOCK_CELLS // (n + 3)``
-    rows.  The chunk only bounds memory: every row's result is the same
-    whatever the chunk, and callers batch cuts as they choose (the line
-    search's rounds are sized by ``SPECULATE_CELLS``, not by the chunk).
+    (-1 where ``_piece_stable`` gives ``None``).  A cut spans ``cells = n + 3``
+    ring slots, and rows are evaluated in chunks of ``BLOCK_CELLS // cells``.
+    The chunk only bounds memory: every row's result is the same whatever the
+    chunk, and callers batch cuts as they choose (the line search's rounds
+    are sized by ``SPECULATE_CELLS``, not by the chunk).
     The kept vertices of a convex polygon form one cyclic run, so a piece's
     ring is that run plus at most two crossing points, laid out from the
     polygon's canonical start; area and centroid are then sequential sums in
@@ -302,20 +310,43 @@ class _CutEvaluator:
     than ``_CUT_MAX_VERTICES`` vertices or outside ``_CUT_SCALE_RANGE``.
     """
 
-    def __init__(self, P: ConvexPolygon2):
+    def __init__(self, P: ConvexPolygon2, M):
         self.P = P
+        self.M = np.ascontiguousarray(M, dtype=float).reshape(-1, 2)
         self.total = P.area
+        self.cells = P.n + 3
         xy = np.asarray(P.vertices)
         # Vertex i sits in column i + 1, between copies of its cyclic neighbours.
         self.X = np.concatenate([xy[-1:, 0], xy[:, 0], xy[:1, 0]])
         self.Y = np.concatenate([xy[-1:, 1], xy[:, 1], xy[:1, 1]])
-        reach = float(np.abs(xy).max())
-        self.batched = P.n <= _CUT_MAX_VERTICES and _CUT_SCALE_RANGE[0] <= P.diameter and reach <= _CUT_SCALE_RANGE[1]
+        self.reach = float(np.abs(xy).max())
+        # Two sequential sums of the same L <= n + 1 shoelace terms, each
+        # at most 2 reach^2, differ by less than 2 (L - 1) u sum|terms|.
+        self.area_slack = 4.0 * (P.n + 1) ** 2 * 2.0**-53 * self.reach * self.reach
+        self.batched = P.n <= _CUT_MAX_VERTICES and _CUT_SCALE_RANGE[0] <= P.diameter and self.reach <= _CUT_SCALE_RANGE[1]
         if self.batched:
             self.run_diam_sq = self._run_table(xy[:, 0], xy[:, 1])
-            # Two sequential sums of the same L <= n + 1 shoelace terms, each
-            # at most 2 reach^2, differ by less than 2 (L - 1) u sum|terms|.
-            self.area_slack = 4.0 * (P.n + 1) ** 2 * 2.0**-53 * reach * reach
+
+    @cached_property
+    def delta(self) -> float:
+        """How far the relative area a cut removes, as computed here, can rise
+        while ``e`` grows along one family of cuts.
+
+        Along a family every kept/crossing decision moves one way as ``e`` grows
+        (the clip's ``n·z - d`` falls with ``d``), so the polygon spanned by the
+        kept vertices and the exact crossing points only grows, and the area it
+        removes only falls.  A computed value lies within ``err`` of that area
+        (over the polygon's), so it rises by at most ``2 err``.  ``err`` sums,
+        with R the largest coordinate magnitude and D the diameter: the shoelace
+        sum of at most ``n + 1`` terms, under ``area_slack``; the crossing
+        points' rounding, under ``128 ulp R D``; and the scalar cleanup, which
+        drops at most ``n + 2`` points, each a turn of at most ``2 EPS D^2`` or
+        a merge along a chain of merge distances, under ``5 (n + 2) EPS D^2``.
+        """
+        D = self.P.diameter
+        crossing = 128.0 * 2.0**-52 * self.reach * D
+        cleanup = 5.0 * (self.P.n + 2) * tol.EPS_GEOM * D * D
+        return 2.0 * ((self.area_slack + crossing + cleanup) / self.total + 2.0**-52)
 
     @staticmethod
     def _run_table(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -334,14 +365,15 @@ class _CutEvaluator:
         table[:, 1:] = np.maximum.accumulate(reach[(a[:, None] + a) % n, a], axis=1)
         return table
 
-    def __call__(self, nx, ny, d) -> tuple[np.ndarray, np.ndarray]:
-        nx, ny, d = (np.asarray(v, dtype=float).reshape(-1) for v in (nx, ny, d))
+    def __call__(self, fam, e) -> tuple[np.ndarray, np.ndarray]:
+        nx, ny = self.M[np.asarray(fam, dtype=np.intp).reshape(-1)].T
+        d = np.asarray(e, dtype=float).reshape(-1)
         m = len(d)
         kept = np.ones(m)
         count = np.full(m, -1)
         scalar = np.ones(m, dtype=bool)
         if self.batched:
-            rows = max(1, BLOCK_CELLS // (self.P.n + 3))
+            rows = max(1, BLOCK_CELLS // self.cells)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 for lo in range(0, m, rows):
                     part = slice(lo, lo + rows)
@@ -407,17 +439,16 @@ class _CutEvaluator:
         vertex_start = has_in + (np.argmax(at_low & (X[1:-1] == low_x[:, None]), 1) - a) % n
         start = np.where(in_low & (inx == low_x), 0, np.where(out_low & (outx == low_x), last, vertex_start))
 
-        # Ring point j sits in slot j + 1; slot 0 repeats the last point and
-        # slot size + 1 the first.
-        width = n + 3
-        e = (np.arange(width)[None, :] - 1 + start[:, None]) % size[:, None]
+        # Ring point j sits in slot j + 1 of the cut's cells; slot 0 repeats
+        # the last point and slot size + 1 the first.
+        e = (np.arange(self.cells)[None, :] - 1 + start[:, None]) % size[:, None]
         is_in = e < has_in[:, None]
         is_out = e >= (has_in + k)[:, None]
         vi = (a[:, None] + e - has_in[:, None]) % n + 1
         RX = np.where(is_in, inx[:, None], np.where(is_out, outx[:, None], X[vi]))
         RY = np.where(is_in, iny[:, None], np.where(is_out, outy[:, None], Y[vi]))
         VX, VY = RX[:, 1:-1], RY[:, 1:-1]
-        valid = np.arange(width - 2) < size[:, None]
+        valid = np.arange(n + 1) < size[:, None]
 
         # Squared diameter: the kept run from the table, then every pair with
         # a crossing point.
@@ -492,29 +523,6 @@ class _CutEvaluator:
         return scalar
 
 
-def _removed_area_slack(P: ConvexPolygon2) -> float:
-    """How far the relative area a cut of ``P`` removes, as the search computes
-    it, can rise while ``e`` grows along one family of cuts.
-
-    Along a family every kept/crossing decision moves one way as ``e`` grows
-    (the clip's ``n·z - d`` falls with ``d``), so the polygon spanned by the
-    kept vertices and the exact crossing points only grows, and the area it
-    removes only falls.  A computed value lies within ``err`` of that area
-    (over the polygon's), so it rises by at most ``2 err``.  ``err`` sums, with
-    R the largest coordinate magnitude and D the diameter: the shoelace sum of
-    at most ``n + 1`` terms, under ``_CutEvaluator.area_slack``; the crossing
-    points' rounding, under ``128 ulp R D``; and the scalar cleanup, which
-    drops at most ``n + 2`` points, each a turn of at most ``2 EPS D^2`` or a
-    merge along a chain of merge distances, under ``5 (n + 2) EPS D^2``.
-    """
-    reach = float(np.abs(np.asarray(P.vertices)).max())
-    D = P.diameter
-    shoelace = 4.0 * (P.n + 1) ** 2 * 2.0**-53 * reach * reach
-    crossing = 128.0 * 2.0**-52 * reach * D
-    cleanup = 5.0 * (P.n + 2) * tol.EPS_GEOM * D * D
-    return 2.0 * ((shoelace + crossing + cleanup) / P.area + 2.0**-52)
-
-
 def _support_intervals(P: ConvexPolygon2, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``P.support_interval`` of each row of ``normals``, bit for bit.
 
@@ -549,7 +557,7 @@ def full_robustness_line_bound(
     ``util.signed_families``.  The last reducing grid cut along ``e`` is the
     cheapest, and its bracket runs one grid step toward the support end, so
     the grid is read from each family's support end down in rounds.  A round is
-    one evaluator call of ``SPECULATE_CELLS // (n + 3)`` cuts (at least one),
+    one evaluator call of ``SPECULATE_CELLS // cells`` cuts (at least one),
     over the families with cuts unread and no reducing cut yet: the first that
     many of their unread cuts taken depth by depth (each family's highest
     unread offset, then its next, and so on), families in order within a
@@ -558,16 +566,16 @@ def full_robustness_line_bound(
     round finds its first reducing cut.  Every round but the last is full, and
     a polygon with no reducing cut reads its whole grid.  The brackets are then
     bisected in lockstep, each step's cuts through ``util.cached_cuts`` (a cut
-    spans ``n + 3`` ring slots), whose speculation takes the next step's
-    midpoint on either side of each bracket where that bracket's own stop test
-    passes.  The witness is the cheapest bracket, the first in family order
+    spans the evaluator's ``cells``, ``n + 3`` ring slots), whose speculation
+    takes the next step's midpoint on either side of each bracket where that
+    bracket's own stop test passes.  The witness is the cheapest bracket, the first in family order
     among equals; it reports the unsigned offset and the side
     (``util.family_cut``).
 
     A bracket also stops once the last usable cut seen at its non-reducing
     end removes more than the least ``rel_red`` over all brackets plus
     ``2δ``, and so the cells of a call count only the live brackets.  The
-    area removed falls as ``e`` grows, and ``δ`` from ``_removed_area_slack``
+    area removed falls as ``e`` grows, and ``δ``, the evaluator's ``delta``,
     bounds how far its computed value can rise instead, so such a bracket
     ends above the witness's: the report is that of bisecting every bracket.
     A polygon with S <= 2 has no reducing cut (a convex piece keeps two
@@ -588,22 +596,19 @@ def full_robustness_line_bound(
     if S0 <= 2:
         # A convex polygon keeps two stable points at its own centroid.
         return RobustnessReport(kind="full_line_bound", value=None, method="search", status="no_reduction_found", details=details)
-    evaluator = _CutEvaluator(P)
     thetas = [j * math.pi / grid_theta for j in range(grid_theta)]
     normals = np.array([(math.cos(theta), math.sin(theta)) for theta in thetas])
     lo, hi = _support_intervals(P, normals)
     M, E, ends = signed_families(normals, lo, hi, grid_offset)
+    evaluate = _CutEvaluator(P, M)
     # Each direction's grid step, the +n family's.
     steps = (E[::2, 1] - E[::2, 0] if grid_offset > 1 else hi - lo).repeat(2)
-
-    def evaluate(f, e):  # the cuts of families f at e
-        return evaluator(M[f, 0], M[f, 1], e)
 
     # Grid rounds.  Per family: the index into ``E.flat`` of its last
     # reducing cut (-1 while none is found) and the relative area that cut
     # removes.  ``todo`` holds the families still reading, ``r`` how many
     # cuts each has read from its support end down.
-    rows = max(1, SPECULATE_CELLS // (P.n + 3))
+    rows = max(1, SPECULATE_CELLS // evaluate.cells)
     flat = E.ravel()
     hit = np.full(len(E), -1)
     rel_hit = np.zeros(len(E))
@@ -641,12 +646,11 @@ def full_robustness_line_bound(
     # one is seen).  A bracket whose ``rel_ok`` exceeds the least ``rel_red``,
     # by more than the computed area can rise, ends above it.
     rel_ok = np.zeros(len(fam))
-    delta = _removed_area_slack(P)
     live = np.full(len(fam), refine_tol is not None)
     cache: dict = {}
     while live.any():
         mid = 0.5 * (e_red + e_ok)
-        above = rel_ok > rel_red.min() + 2.0 * delta
+        above = rel_ok > rel_red.min() + 2.0 * evaluate.delta
         live &= (np.abs(e_ok - e_red) > refine_tol) & (mid != e_red) & (mid != e_ok) & ~above
         idx = np.flatnonzero(live)
         if not len(idx):
@@ -659,7 +663,7 @@ def full_robustness_line_bound(
             keep = (np.abs(hi - lo) > refine_tol) & (cand != lo) & (cand != hi)
             return list(zip(np.array([f, f])[keep].tolist(), cand[keep].tolist()))
 
-        kept, counts = cached_cuts(evaluate, cache, list(zip(f, m.tolist())), ahead, P.n + 3)
+        kept, counts = cached_cuts(evaluate, cache, list(zip(f, m.tolist())), ahead, evaluate.cells)
         red = (counts >= 0) & (counts < S0)
         e_red[idx[red]], rel_red[idx[red]] = m[red], 1.0 - kept[red]
         e_ok[idx[~red]] = m[~red]
@@ -802,9 +806,8 @@ def truncation_sweep(P: ConvexPolygon2, samples: int, seed: int, bins: int = 20)
     # math.cos and math.sin, as the scalar path: numpy's may differ in the last bit.
     nx = np.fromiter(map(math.cos, thetas.tolist()), float, len(thetas))
     ny = np.fromiter(map(math.sin, thetas.tolist()), float, len(thetas))
-    kept, counts = _CutEvaluator(P)(
-        np.column_stack([nx, -nx]), np.column_stack([ny, -ny]), np.column_stack([offsets, -offsets])
-    )
+    M = np.column_stack([nx, ny, -nx, -ny])  # line i: family 2i is (n, d) and 2i + 1 is (-n, -d)
+    kept, counts = _CutEvaluator(P, M)(np.arange(2 * samples), np.column_stack([offsets, -offsets]))
     sweep = TruncationSweep(eq0.S, thetas.repeat(2), offsets.repeat(2), np.tile([1, -1], samples), kept, counts)
     return sweep, SweepSummary(sweep, bins)
 

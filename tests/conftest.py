@@ -81,6 +81,17 @@ def random_hull3(rng: np.random.Generator, n: int):
     return hull3(rng.standard_normal((n, 3)))
 
 
+def face_normal_error(P) -> float:
+    """The largest difference between a stored face normal of ``P`` and the
+    face's Newell normal summed from its first vertex, whose cross products
+    do not cancel on a small face far from the origin."""
+    tails, heads, slot_face, starts = P.slot_arrays
+    v = P.coords
+    first = v[tails[starts[:-1]]][slot_face]
+    sums = np.add.reduceat(np.cross(v[tails] - first, v[heads] - first), starts[:-1], axis=0)
+    return float(np.abs(sums / np.linalg.norm(sums, axis=1)[:, None] - P.plane_normals).max())
+
+
 def random_interior_point3(rng: np.random.Generator, P, margin: float = 1e-3) -> tuple[float, float, float]:
     """Random point strictly inside ``P`` with a relative margin from the boundary."""
     verts = P.coords

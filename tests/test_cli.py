@@ -46,6 +46,16 @@ class TestAnalyze:
         assert code == 0
         assert (d["S"], d["U"]) == (2, 2)
 
+    @pytest.mark.parametrize("coord", ["null", "{}", "[]", "[1]", '"0"', "true", "false", "1" + "0" * 400])
+    def test_poly_coordinate_that_is_not_a_number_is_validation_error(self, run, tmp_path, coord):
+        # Only JSON numbers are coordinates; a string or a boolean is not read
+        # as one, and an integer beyond the float range is not finite.
+        path = tmp_path / "poly.json"
+        path.write_text(f'{{"vertices": [[0, 0], [1, 0], [{coord}, 1]]}}')
+        code, out, err = run("analyze", "--poly", str(path))
+        assert (code, out) == (3, "")
+        assert json.loads(err)["status"] == "validation-error"
+
     def test_explicit_reference(self, run):
         code, out, _ = run("analyze", "--builtin", "ngon:6", "--ref", "0.01,0.02")
         d = json.loads(out)

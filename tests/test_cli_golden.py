@@ -33,6 +33,18 @@ GOLDEN = {
         "be063b223ab3eba131c888a2d40d88e3e1c014f13d386bc8d9f360f09d2c49d4",
     "analyze --builtin ellipsoid:1:1:2":
         "18d372e0eb387e53875b5c7d2d67e433dc7d33298fd5c2398d2c5154ab7812bc",
+    "analyze --builtin rect:0:1":
+        "8ba81f9b82d5ea8c07d2a4161305d5190de204bb831330175aebcdcfc5365fb6",
+    "analyze --builtin ngon:x":
+        "def6c51e31edd3d8342b1ebaa6a18429f1160d4f56f5f945e4d2d99a4f4ad618",
+    "analyze --builtin cylcut:1":
+        "93d849d95321f24fa64672c255b4cf236e896aa9a6076b83989b91e685ece454",
+    "analyze --builtin square --ref 1,2,3":
+        "b4f4f34f2848da4300d6e66c53b4d798dbeebe7b99644d0aa378750ef114cd50",
+    "analyze --builtin cube --format csv":
+        "30a9ee8bad3f8a8d4c8614a238626b72b8fe6c9f8d0ae780ff00f706b5de6dd6",
+    "analyze --builtin ellipsoid:1:2:3 --ref 0,0,0":
+        "0d59554a7350656ac3d8037f4851fc208f17bb7fd0b22dfae92d7bba111672bb",
     # robust
     "robust --builtin square --kind in":
         "a34bf9f66ba8f14a8cb9ea2e1d61cc96d8987be8e6b317bcc179028e5f211bd5",
@@ -68,6 +80,8 @@ GOLDEN = {
         "6533f51c37f865f1070e5fe29a6daa85830ac4af174cd2caf631014be49bed68",
     "robust --builtin cube --kind partial-any --seed -1":
         "6f95c393877c65419fafb052852db86c0035a7d6d9fcbf6b6820fd31b3d3b542",
+    "robust --builtin square --kind in --format svg":
+        "d2bb29d110e9ad06da3e8ae90b5275e9c873e4b3f16b9cefe8410d3c139de71f",
     # sweep
     "sweep --builtin square --samples 200 --seed 1":
         "e880694d45f4eb2f1dda0e8e4a86e8ae280777c0f15c577517750324b452894c",

@@ -42,6 +42,12 @@ def _evaluate_cut(P, total, nx, ny, d):
     return kept, _piece_stable(P, piece)
 
 
+def _evaluate(P, nx, ny, d):
+    """The evaluator's rows for the cuts (nx[i], ny[i])·z <= d[i], each cut
+    its own family."""
+    return _CutEvaluator(P, np.column_stack([nx, ny]))(np.arange(len(d)), d)
+
+
 def _as_scalar_path(kept, counts):
     """The evaluator's rows as the scalar path gives them: -1 becomes ``None``."""
     return [(k, None if c < 0 else c) for k, c in zip(kept.tolist(), counts.tolist())]
@@ -162,7 +168,7 @@ class TestAgainstScalarPath:
                         nxs.append(side * nx)
                         nys.append(side * ny)
                         ds.append(side * d)
-            kept, counts = _CutEvaluator(P)(nxs, nys, ds)
+            kept, counts = _evaluate(P, nxs, nys, ds)
             assert kept.dtype == np.float64 and counts.dtype.kind == "i"
             got = _as_scalar_path(kept, counts)
             for i in range(len(ds)):
@@ -209,7 +215,7 @@ class TestAgainstScalarPath:
         ts = np.geomspace(1e-7, 1e-2, 60)
         ds = [-(top - t) for t in ts] + [top - t for t in ts]
         sides = [-1] * 60 + [1] * 60
-        got = _as_scalar_path(*_CutEvaluator(P)([s * nx for s in sides], [s * ny for s in sides], ds))
+        got = _as_scalar_path(*_evaluate(P, [s * nx for s in sides], [s * ny for s in sides], ds))
         for i, (side, d) in enumerate(zip(sides, ds)):
             assert got[i] == _evaluate_cut(P, P.area, side * nx, side * ny, d)
         assert count_scalar[0] > 0
@@ -225,10 +231,10 @@ class TestAgainstScalarPath:
 
         sq = unit_square()
         for d in (math.nan, math.inf, -math.inf):
-            got = outcome(lambda: _as_scalar_path(*_CutEvaluator(sq)([0.0], [1.0], [d]))[0])
+            got = outcome(lambda: _as_scalar_path(*_evaluate(sq, [0.0], [1.0], [d]))[0])
             assert got == outcome(_evaluate_cut, sq, sq.area, 0.0, 1.0, d)
         big = ConvexPolygon2([(0, 0), (2, 0), (2, 2), (0, 2)])
-        got = outcome(_CutEvaluator(big), [0.6, 1e308], [0.8, 0.0], [1.0, 1.0])
+        got = outcome(_evaluate, big, [0.6, 1e308], [0.8, 0.0], [1.0, 1.0])
         want = outcome(_evaluate_cut, big, big.area, 1e308, 0.0, 1.0)
         assert want[0] is DegenerateInput and got == want
 
@@ -239,7 +245,7 @@ class TestAgainstScalarPath:
             lo, hi = P.support_interval(0.6, 0.8)
             ds = list(np.linspace(lo, hi, 5))
             before = count_scalar[0]
-            got = _as_scalar_path(*_CutEvaluator(P)([0.6] * 5, [0.8] * 5, ds))
+            got = _as_scalar_path(*_evaluate(P, [0.6] * 5, [0.8] * 5, ds))
             assert count_scalar[0] - before == 5
             assert got == [_evaluate_cut(P, P.area, 0.6, 0.8, d) for d in ds]
 
@@ -318,7 +324,7 @@ class TestChunks:
         lo, hi = np.array([P.support_interval(math.cos(t), math.sin(t)) for t in theta.tolist()]).T
         side = np.where(rng.random(m) < 0.5, 1.0, -1.0)
         nx, ny, d = side * np.cos(theta), side * np.sin(theta), side * (lo + rng.random(m) * (hi - lo))
-        evaluate = _CutEvaluator(P)
+        evaluate = _CutEvaluator(P, np.column_stack([nx, ny]))
         chunks = []
         certified = _CutEvaluator._certified
 
@@ -327,9 +333,9 @@ class TestChunks:
             return certified(self, nx, ny, *rest)
 
         monkeypatch.setattr(_CutEvaluator, "_certified", recording)
-        kept, counts = evaluate(nx, ny, d)
+        kept, counts = evaluate(np.arange(m), d)
         assert chunks == [rows, rows, 5]
-        alone = [evaluate(nx[i : i + 1], ny[i : i + 1], d[i : i + 1]) for i in range(m)]
+        alone = [evaluate([i], d[i : i + 1]) for i in range(m)]
         assert (kept.view(np.int64) == np.concatenate([k for k, _ in alone]).view(np.int64)).all()
         assert (counts == np.concatenate([c for _, c in alone])).all()
         want = [_evaluate_cut(P, P.area, *cut) for cut in zip(nx.tolist(), ny.tolist(), d.tolist())]
@@ -358,9 +364,9 @@ class TestLineGridRounds:
         calls = []
         evaluate = _CutEvaluator.__call__
 
-        def recording(self, nx, ny, d):
-            calls.append(np.size(d))
-            return evaluate(self, nx, ny, d)
+        def recording(self, fam, e):
+            calls.append(np.size(e))
+            return evaluate(self, fam, e)
 
         monkeypatch.setattr(_CutEvaluator, "__call__", recording)
         return calls

@@ -101,6 +101,11 @@ class TestRegularNgon:
         for x, y in p.vertices:
             assert math.hypot(x, y) == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("S", [5.0, True, "5", None, 2])
+    def test_count_must_be_an_integer_of_at_least_3(self, S):
+        with pytest.raises(ValueError, match="^a regular polygon needs an integer S >= 3$"):
+            regular_ngon(S)
+
 
 class TestClip:
     def test_square_diagonal_cut(self):

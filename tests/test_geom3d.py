@@ -175,6 +175,12 @@ class TestHull:
         with pytest.raises(DegenerateInput):
             hull3([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])  # all coplanar
 
+    @pytest.mark.parametrize("dims", [2, 4])
+    def test_points_need_three_coordinates(self, dims):
+        pts = np.random.default_rng(dims).normal(size=(8, dims))
+        with pytest.raises(DegenerateInput, match="^hull needs at least 4 points of three coordinates$"):
+            hull3(pts)
+
 
 class TestClip:
     def test_corner_cut_combinatorics(self):
@@ -547,6 +553,10 @@ class TestGenerators:
             generator_prism(2, 1.0)
         with pytest.raises(ValueError):
             generator_prism(5, 0.0)
+        for ngon in (5.0, True, np.float64(5)):
+            with pytest.raises(ValueError, match="^prism base needs an integer count of at least 3 vertices$"):
+                generator_prism(ngon, 1.0)
+        assert generator_prism(np.int64(5), 1.0).faces == generator_prism(5, 1.0).faces
 
     def test_cylinder_counts_and_box(self):
         cyl = generator_truncated_cylinder(1.0, 20.0, 32)
@@ -563,6 +573,9 @@ class TestGenerators:
             generator_truncated_cylinder(1.0, 10.0, 34)
         with pytest.raises(ValueError):
             generator_truncated_cylinder(0.0, 10.0, 32)
+        for facets in (32.0, True, "32"):
+            with pytest.raises(ValueError, match="^facets must be an integer of at least 32$"):
+                generator_truncated_cylinder(1, 3, facets=facets)
 
     def test_ellipsoid_mesh_volume(self):
         E = generator_ellipsoid_mesh(1.0, 4.0, 16.0, facets=2000)

@@ -393,9 +393,9 @@ class TestLineBound:
         sizes = []
         evaluate = robust2d._CutEvaluator.__call__
 
-        def recording(self, nx, ny, d):
-            sizes.append(len(d))
-            return evaluate(self, nx, ny, d)
+        def recording(self, fam, e):
+            sizes.append(len(e))
+            return evaluate(self, fam, e)
 
         monkeypatch.setattr(robust2d._CutEvaluator, "__call__", recording)
         P = regular_ngon(8)
@@ -409,9 +409,9 @@ class TestLineBound:
         cuts = []
         evaluate = robust2d._CutEvaluator.__call__
 
-        def recording(self, nx, ny, d):
-            cuts.extend(zip(np.asarray(nx).tolist(), np.asarray(ny).tolist(), np.asarray(d).tolist()))
-            return evaluate(self, nx, ny, d)
+        def recording(self, fam, e):
+            cuts.extend(zip(*self.M[fam].T.tolist(), np.asarray(e).tolist()))
+            return evaluate(self, fam, e)
 
         monkeypatch.setattr(robust2d._CutEvaluator, "__call__", recording)
         rng = np.random.default_rng(53)
@@ -458,12 +458,12 @@ class TestStopRule:
     slack nothing stops, and every report must stay the same to the byte."""
 
     @staticmethod
-    def _with_and_without(monkeypatch, module, slack, evaluator, runs):
+    def _with_and_without(monkeypatch, evaluator, runs):
         sizes = _counting(monkeypatch, evaluator)
         stopped = [_outcome(*run) for run in runs]
         cuts = sum(sizes)
         sizes.clear()
-        monkeypatch.setattr(module, slack, lambda P: math.inf)
+        monkeypatch.setattr(evaluator, "delta", math.inf)
         full = [_outcome(*run) for run in runs]
         return stopped, full, cuts, sum(sizes)
 
@@ -479,9 +479,7 @@ class TestStopRule:
             for i, body in enumerate(bodies)
             for k in (0, 2)
         ]
-        stopped, full, cuts, full_cuts = self._with_and_without(
-            monkeypatch, equilib3d, "_removed_volume_slack", equilib3d._CutEvaluator3, runs
-        )
+        stopped, full, cuts, full_cuts = self._with_and_without(monkeypatch, equilib3d._CutEvaluator3, runs)
         assert stopped == full
         assert sum(out.startswith("{") for out in full) == len(runs)
         assert cuts < 0.75 * full_cuts
@@ -496,9 +494,7 @@ class TestStopRule:
             for i, P in enumerate(polys)
             for k, grid in enumerate(_GRIDS)
         ]
-        stopped, full, cuts, full_cuts = self._with_and_without(
-            monkeypatch, robust2d, "_removed_area_slack", robust2d._CutEvaluator, runs
-        )
+        stopped, full, cuts, full_cuts = self._with_and_without(monkeypatch, robust2d._CutEvaluator, runs)
         assert stopped == full
         assert cuts < 0.9 * full_cuts
 
@@ -510,7 +506,7 @@ class TestStopRule:
         got = plane_truncation_search(*args).to_json()
         assert (len(sizes), sum(sizes)) == (6, 1100)
         sizes.clear()
-        monkeypatch.setattr(equilib3d, "_removed_volume_slack", lambda P: math.inf)
+        monkeypatch.setattr(equilib3d._CutEvaluator3, "delta", math.inf)
         assert plane_truncation_search(*args).to_json() == got
         assert (len(sizes), sum(sizes)) == (11, 2202)
 
@@ -529,7 +525,7 @@ class TestStopRule:
                 P = _shifted3(platonic(name), shift)
                 normals = fibonacci_sphere(2)
                 evaluate = equilib3d._CutEvaluator3(P, normals)
-                delta = equilib3d._removed_volume_slack(P)
+                delta = evaluate.delta
                 worst = 0.0
                 for f, n in enumerate(normals):
                     lo, hi = P.support_interval(n)
@@ -548,15 +544,15 @@ class TestStopRule:
         seen = {}
         for shift in (0.0, 1e3, 1e5):
             for P in (_shifted2(regular_ngon(8), shift), _shifted2(random_convex_polygon(rng, 12), shift)):
-                evaluate = robust2d._CutEvaluator(P)
-                delta = robust2d._removed_area_slack(P)
+                normals = [(math.cos(theta), math.sin(theta)) for theta in (0.1, 1.3, 2.2)]
+                evaluate = robust2d._CutEvaluator(P, normals)
+                delta = evaluate.delta
                 worst = 0.0
-                for theta in (0.1, 1.3, 2.2):
-                    nx, ny = math.cos(theta), math.sin(theta)
+                for f, (nx, ny) in enumerate(normals):
                     lo, hi = P.support_interval(nx, ny)
                     for c in self._centres(lo, hi, [nx * x + ny * y for x, y in P.vertices]):
                         e = c + np.linspace(-0.5e-9, 0.5e-9, 200) * (hi - lo)
-                        kept = evaluate(np.full(len(e), nx), np.full(len(e), ny), e)[0]
+                        kept = evaluate(np.full(len(e), f), e)[0]
                         worst = max(worst, float(np.diff(1.0 - kept).max()))
                 assert worst <= delta
                 seen[shift] = max(seen.get(shift, 0.0), worst)
