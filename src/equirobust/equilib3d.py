@@ -352,6 +352,7 @@ def rho_in_sampled_3d(
         raise ValueError("directions must be at least 128")
     if not (math.isfinite(tol_step) and tol_step > 0.0):
         raise ValueError("tol_step must be a positive finite number")
+    tol_step = float(tol_step)
     q = _require_interior(P, p)[0]
     dirs = fibonacci_sphere(directions)
     target = int(stable_count3(P, q[None, :])[0])
@@ -861,6 +862,7 @@ def plane_truncation_search(
         raise ValueError("grid needs at least 1 normal and 2 offsets")
     if not (math.isfinite(refine_tol) and refine_tol > 0.0):
         raise ValueError("refine_tol must be a positive finite number")
+    refine_tol = float(refine_tol)
     rotation = rotation_from_seed(seed)  # checks the seed
     eq0 = classify3(P, centroid3(P))
     if eq0.any_degenerate:
@@ -920,7 +922,7 @@ def plane_truncation_search(
         def ahead():  # the next step's midpoint, whichever end this one moves; the 60th step has none
             return [] if step == 59 else [*zip(f, (0.5 * (a + mid)).tolist()), *zip(f, (0.5 * (mid + b)).tolist())]
 
-        r, s, u = cached_cuts(evaluate, cache, list(zip(f, mid.tolist())), ahead, evaluate.cells)
+        r, s, u = cached_cuts(evaluate, cache, list(zip(f, mid.tolist())), ahead)
         ok = s >= 0
         red = ok & np.where(pred[live] == 0, s < S0, u < U0)
         e_a[live[red]], rel_a[live[red]] = mid[red], r[red]

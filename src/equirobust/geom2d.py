@@ -371,7 +371,7 @@ def _disk_intersection_area(pts: Sequence[Point2], cx: float, cy: float, r: floa
 
 def area_outside_disk(P: ConvexPolygon2, center: Sequence[float], r: float) -> float:
     """Exact area of the part of ``P`` at distance greater than ``r`` from ``center``."""
-    if r < 0.0:
+    if not r >= 0.0:
         raise ValueError("radius must be nonnegative")
     if r == 0.0:
         return P.area
@@ -392,7 +392,7 @@ def strip_cover_admits(P: ConvexPolygon2, q: Sequence[float], rho: float) -> boo
     products, which is attained along one of the two vectors or where they
     agree.  Comparisons are closed at a small absolute tolerance.
     """
-    if rho < 0.0:
+    if not rho >= 0.0:
         raise ValueError("rho must be nonnegative")
     qx, qy = float(q[0]), float(q[1])
     slack = tol.EPS_COVER * max(1.0, P.diameter)

@@ -758,8 +758,8 @@ def generator_ellipsoid_mesh(a: float, b: float, c: float, facets: int = 512) ->
     """
     if not (a > 0.0 and b > 0.0 and c > 0.0):
         raise ValueError("semi-axes must be positive")
-    if facets < 32:
-        raise ValueError("facets must be at least 32")
+    if not (is_count(facets) and facets >= 32):
+        raise ValueError("facets must be an integer of at least 32")
     pts = fibonacci_sphere(max(facets // 2 + 2, 8))
     pts = pts * np.array([a, b, c])
     return hull3(pts)

@@ -164,6 +164,7 @@ def rho_in_sampled(P: ConvexPolygon2, p: Sequence[float], directions: int = 720,
     _require_positive_count("directions", directions)
     if not (math.isfinite(tol_step) and tol_step > 0.0):
         raise ValueError("tol_step must be a positive finite number")
+    tol_step = float(tol_step)
     eq = equilibria(P, p)
     if eq.any_degenerate:
         raise DegenerateConfiguration("reference point gives a degenerate configuration")
@@ -556,28 +557,34 @@ def full_robustness_line_bound(
     Each direction gives two families of cuts ``m·z <= e``, laid out by
     ``util.signed_families``.  The last reducing grid cut along ``e`` is the
     cheapest, and its bracket runs one grid step toward the support end, so
-    the grid is read from each family's support end down in rounds.  A round is
-    one evaluator call of ``SPECULATE_CELLS // cells`` cuts (at least one),
+    the grid is read from each family's support end down in rounds.  A round
+    is one evaluator call of ``SPECULATE_CELLS // cells`` cuts (at least one),
     over the families with cuts unread and no reducing cut yet: the first that
     many of their unread cuts taken depth by depth (each family's highest
     unread offset, then its next, and so on), families in order within a
-    depth, so that the families share the round as evenly as their unread cuts
-    allow and the lowest-numbered take the extras; a family leaves once a
-    round finds its first reducing cut.  Every round but the last is full, and
-    a polygon with no reducing cut reads its whole grid.  The brackets are then
-    bisected in lockstep, each step's cuts through ``util.cached_cuts`` (a cut
-    spans the evaluator's ``cells``, ``n + 3`` ring slots), whose speculation
-    takes the next step's midpoint on either side of each bracket where that
-    bracket's own stop test passes.  The witness is the cheapest bracket, the first in family order
-    among equals; it reports the unsigned offset and the side
+    depth, so that the families share the round as evenly as their unread
+    cuts allow and the lowest-numbered take the extras; a family leaves once
+    its read cuts hold a reducing one.  Every round but the last is full, and
+    a polygon with no reducing cut reads its whole grid.  The rounds store
+    each read cut's removed share and count, and the brackets come from that
+    grid, as the plane search's do.  They are bisected in lockstep, each
+    step's cuts through ``util.cached_cuts`` (a cut spans the evaluator's
+    ``cells``, ``n + 3`` ring slots), whose speculation takes the next step's
+    midpoint on either side of each bracket where that half still splits.
+    The witness is the cheapest bracket, the first in family order among
+    equals; it reports the unsigned offset and the side
     (``util.family_cut``).
 
-    A bracket also stops once the last usable cut seen at its non-reducing
-    end removes more than the least ``rel_red`` over all brackets plus
-    ``2δ``, and so the cells of a call count only the live brackets.  The
-    area removed falls as ``e`` grows, and ``δ``, the evaluator's ``delta``,
-    bounds how far its computed value can rise instead, so such a bracket
-    ends above the witness's: the report is that of bisecting every bracket.
+    A bracket also stops once its non-reducing end removes more than the
+    least ``rel_red`` over all brackets plus ``2δ``, and so the cells of a
+    call count only the live brackets.  That end's share, ``rel_ok``, starts
+    as what the first usable grid cut at or above ``e_ok = e_red + step``
+    removes (0 if none); ``e_ok`` is not that cut, whose last bits may
+    differ, because the midpoints' bits depend on its own.  The area removed
+    falls as ``e`` grows, and ``δ``, the evaluator's ``delta``, bounds how
+    far its computed value can rise instead, so such a bracket, whose cuts
+    all lie at or below that cut, ends above the witness's: the report is
+    that of bisecting every bracket.
     A polygon with S <= 2 has no reducing cut (a convex piece keeps two
     stable points at its own centroid) and returns before its grid.
     """
@@ -588,6 +595,7 @@ def full_robustness_line_bound(
         raise ValueError("grid needs at least 1 direction and 1 offset")
     if refine_tol is not None and not (math.isfinite(refine_tol) and refine_tol > 0.0):
         raise ValueError("refine_tol must be None or a positive finite number")
+    refine_tol = None if refine_tol is None else float(refine_tol)
     eq0 = equilibria(P, P.centroid)
     if eq0.any_degenerate:
         raise DegenerateConfiguration("polygon is degenerate at its centroid")
@@ -604,66 +612,57 @@ def full_robustness_line_bound(
     # Each direction's grid step, the +n family's.
     steps = (E[::2, 1] - E[::2, 0] if grid_offset > 1 else hi - lo).repeat(2)
 
-    # Grid rounds.  Per family: the index into ``E.flat`` of its last
-    # reducing cut (-1 while none is found) and the relative area that cut
-    # removes.  ``todo`` holds the families still reading, ``r`` how many
-    # cuts each has read from its support end down.
+    # Grid rounds.  ``rel`` and ``count`` hold what each grid cut read so far
+    # removes and its piece's stable count, -1 while unread or unusable; ``r``
+    # how many cuts each family has read from its support end down, and
+    # ``todo`` the families still reading.
     rows = max(1, SPECULATE_CELLS // evaluate.cells)
-    flat = E.ravel()
-    hit = np.full(len(E), -1)
-    rel_hit = np.zeros(len(E))
-    todo = np.arange(len(E))
+    rel, count = np.full(E.shape, -1.0), np.full(E.shape, -1)
     r = np.zeros(len(E), dtype=np.intp)
+    todo = np.arange(len(E))
     while len(todo):
-        # The first ``rows`` unread cuts in depth-major order (depth ``d``
-        # below each family's last read cut), then in family order.
-        d, j = np.nonzero(np.arange(grid_offset)[:, None] < grid_offset - r)
-        d, j = d[:rows], j[:rows]
-        by_family = np.argsort(j, kind="stable")
-        d, j = d[by_family], j[by_family]
-        take = np.bincount(j, minlength=len(todo))
-        f = todo[j]
-        cell = (f + 1) * grid_offset - 1 - r[j] - d
-        kept, counts = evaluate(f, flat[cell])
-        red = np.flatnonzero((counts >= 0) & (counts < S0))
-        if len(red):
-            # Each family's cuts run down from its support end, so its first
-            # reducing one in this round is its last along e.
-            red = red[np.diff(f[red], prepend=-1) != 0]
-            hit[f[red]] = cell[red]
-            rel_hit[f[red]] = 1.0 - kept[red]
-        r += take
-        keep = (r < grid_offset) & (hit[todo] < 0)
-        todo, r = todo[keep], r[keep]
+        # The first ``rows`` unread cuts in depth-major order: depth ``d``
+        # below each family's last read cut, families in order within a depth.
+        d, j = np.nonzero(np.arange(grid_offset)[:, None] < grid_offset - r[todo])
+        f = todo[j[:rows]]
+        i = grid_offset - 1 - r[f] - d[:rows]
+        kept, count[f, i] = evaluate(f, E[f, i])
+        rel[f, i] = np.where(count[f, i] >= 0, 1.0 - kept, -1.0)
+        r += np.bincount(f, minlength=len(E))
+        reducing = (count >= 0) & (count < S0)
+        todo = np.flatnonzero((r < grid_offset) & ~reducing.any(1))
 
     # One bracket per family with a reducing grid cut, in family order, from
-    # its last reducing grid cut along e, the cheapest.
-    fam = np.flatnonzero(hit >= 0)
-    e_red = flat[hit[fam]]
-    rel_red = rel_hit[fam]
+    # its last reducing grid cut along e, the cheapest (every cut above it
+    # has been read), to ``e_ok``.  ``rel_ok`` is what a usable cut at or
+    # above ``e_ok`` removes: the first grid cut's (0 if none), then the last
+    # midpoint's that did not reduce.
+    fam = np.flatnonzero(reducing.any(1))
+    i = grid_offset - 1 - np.argmax(reducing[fam, ::-1], 1)
+    e_red, rel_red = E[fam, i], rel[fam, i]
     e_ok = np.minimum(e_red + steps[fam], ends[fam])
-    # What the last usable cut seen at or above ``e_ok`` removes (0 before
-    # one is seen).  A bracket whose ``rel_ok`` exceeds the least ``rel_red``,
-    # by more than the computed area can rise, ends above it.
-    rel_ok = np.zeros(len(fam))
+    above = (rel[fam] >= 0.0) & (E[fam] >= e_ok[:, None])
+    rel_ok = np.where(above.any(1), rel[fam, np.argmax(above, 1)], 0.0)
     live = np.full(len(fam), refine_tol is not None)
     cache: dict = {}
+
+    def halves(lo, hi):  # each bracket's midpoint, and whether the bracket still splits there
+        mid = 0.5 * (lo + hi)
+        return mid, (np.abs(hi - lo) > refine_tol) & (mid != lo) & (mid != hi)
+
     while live.any():
-        mid = 0.5 * (e_red + e_ok)
-        above = rel_ok > rel_red.min() + 2.0 * evaluate.delta
-        live &= (np.abs(e_ok - e_red) > refine_tol) & (mid != e_red) & (mid != e_ok) & ~above
+        mid, splits = halves(e_red, e_ok)
+        live &= splits & ~(rel_ok > rel_red.min() + 2.0 * evaluate.delta)
         idx = np.flatnonzero(live)
         if not len(idx):
             break
         f, m = fam[idx].tolist(), mid[idx]
 
-        def ahead():  # the next step's midpoints in (e_red, mid) and (mid, e_ok), where its stop test passes
-            lo, hi = np.stack([e_red[idx], m]), np.stack([m, e_ok[idx]])
-            cand = 0.5 * (lo + hi)
-            keep = (np.abs(hi - lo) > refine_tol) & (cand != lo) & (cand != hi)
+        def ahead():  # the next step's midpoints in (e_red, mid) and (mid, e_ok), where they split
+            cand, keep = halves(np.stack([e_red[idx], m]), np.stack([m, e_ok[idx]]))
             return list(zip(np.array([f, f])[keep].tolist(), cand[keep].tolist()))
 
-        kept, counts = cached_cuts(evaluate, cache, list(zip(f, m.tolist())), ahead, evaluate.cells)
+        kept, counts = cached_cuts(evaluate, cache, list(zip(f, m.tolist())), ahead)
         red = (counts >= 0) & (counts < S0)
         e_red[idx[red]], rel_red[idx[red]] = m[red], 1.0 - kept[red]
         e_ok[idx[~red]] = m[~red]
@@ -674,9 +673,9 @@ def full_robustness_line_bound(
         return RobustnessReport(kind="full_line_bound", value=None, method="search", status="no_reduction_found", details=details)
     k = int(np.argmin(rel_red))
     j, side, offset = family_cut(int(fam[k]), float(e_red[k]))
-    rel = float(rel_red[k])
-    witness = {"type": "line", "theta": thetas[j], "offset": offset, "side": side, "relative_area_removed": rel}
-    return RobustnessReport(kind="full_line_bound", value=rel, method="search", witness=witness, details=details)
+    value = float(rel_red[k])
+    witness = {"type": "line", "theta": thetas[j], "offset": offset, "side": side, "relative_area_removed": value}
+    return RobustnessReport(kind="full_line_bound", value=value, method="search", witness=witness, details=details)
 
 
 # -- truncation sweep -------------------------------------------------------

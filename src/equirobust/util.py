@@ -50,17 +50,16 @@ def family_cut(f: int, e: float) -> tuple[int, int, float]:
     return f // 2, side, side * e + 0.0
 
 
-def cached_cuts(evaluate, cache: dict, keys: list, ahead, cells: int) -> tuple[np.ndarray, ...]:
+def cached_cuts(evaluate, cache: dict, keys: list, ahead) -> tuple[np.ndarray, ...]:
     """Per column of ``evaluate``'s results, an array over the cuts ``keys``,
     (family, e) pairs.  ``cache`` maps each cut evaluated so far to its
     results, so no cut is evaluated twice: the missing keys go to one call
     ``evaluate(families, es)``, which, while it spans at most
-    ``SPECULATE_CELLS`` cells (three cuts of ``cells`` slots per key), also
-    takes the keys ``ahead()`` names, the next bisection step's candidates."""
-    new = [key for key in keys if key not in cache]
-    if new:
-        if 3 * len(keys) * cells <= SPECULATE_CELLS:
-            new += ahead()
+    ``SPECULATE_CELLS`` cells (three cuts of ``evaluate.cells`` slots per
+    key), also takes the keys ``ahead()`` names, the next bisection step's
+    candidates."""
+    if any(key not in cache for key in keys):
+        new = keys + ahead() if 3 * len(keys) * evaluate.cells <= SPECULATE_CELLS else keys
         new = [key for key in dict.fromkeys(new) if key not in cache]
         f, e = (np.array(c) for c in zip(*new))
         cache.update(zip(new, zip(*(c.tolist() for c in evaluate(f, e)))))

@@ -376,12 +376,13 @@ class TestLineGridRounds:
         [
             # One chunk finds a reducing cut in every family; the full grid
             # is 12 x 2 x 48 = 1152 cuts.  Brackets that end above the
-            # incumbent leave the bisection.
-            (lambda: regular_ngon(8), (12, 48), [372], [72] + [24] * 5 + [8]),
+            # incumbent leave the bisection, from its first step on, by the
+            # grid cut above their non-reducing end.
+            (lambda: regular_ngon(8), (12, 48), [372], [24] * 6 + [8]),
             (lambda: regular_ngon(64), (12, 48), [61], [24] * 8 + [8]),
             # 585 = 24 x 24 + 9 cuts, the extras to families 0 to 8; then the
             # 12 families without a reducing cut read the rest of their grids.
-            (unit_square, (12, 48), [585, 284], [60] + [12] * 6 + [4]),
+            (unit_square, (12, 48), [585, 284], [12] * 7 + [4]),
             # No cut of this grid reduces S = 4: the whole grid, and no bracket.
             (unit_square, (2, 2), [8], []),
             # No cut can reduce S = 2: the search returns before its grid.
@@ -419,6 +420,13 @@ class TestLineSearchArguments:
     def test_refine_tol_must_be_positive_and_finite(self, tol):
         with pytest.raises(ValueError):
             full_robustness_line_bound(unit_square(), 4, 8, refine_tol=tol)
+
+    def test_numpy_float_refine_tol_is_stored_as_float(self):
+        # A float32 used to reach the report and fail its JSON.
+        tol = np.float32(1e-6)
+        got = full_robustness_line_bound(unit_square(), 6, 8, tol)
+        assert type(got.details["refine_tol"]) is float
+        assert got.to_json() == full_robustness_line_bound(unit_square(), 6, 8, float(tol)).to_json()
 
     @pytest.mark.parametrize("grid", [(0, 8), (-5, 8), (4, 0), (4, -3)])
     def test_grid_needs_a_direction_and_an_offset(self, grid):

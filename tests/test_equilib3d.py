@@ -416,6 +416,13 @@ class TestInternalRobustness:
         with pytest.raises(ValueError, match="^tol_step must be a positive finite number$"):
             rho_in_sampled_3d(platonic("cube"), (0, 0, 0), tol_step=tol_step)
 
+    def test_sampled_numpy_float_tol_step_is_stored_as_float(self):
+        # A float32 used to reach the report, and the walk's absolute step as a float32 product.
+        tol = np.float32(1e-6)
+        rep = rho_in_sampled_3d(platonic("cube"), (0, 0, 0), directions=128, tol_step=tol)
+        assert type(rep.details["tol_step"]) is float
+        assert rep.to_json() == rho_in_sampled_3d(platonic("cube"), (0, 0, 0), directions=128, tol_step=float(tol)).to_json()
+
 
 class TestBoxPredicates:
     def test_elongated_brick(self):
@@ -586,6 +593,11 @@ class TestTruncationSearch:
         for tol in (0.0, -1e-4, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="^refine_tol must be a positive finite number$"):
                 plane_truncation_search(c, refine_tol=tol)
+        # A float32 tolerance is stored as a float: it used to fail the report's JSON.
+        tol = np.float32(1e-4)
+        got = plane_truncation_search(c, "reduce_any", (4, 4), tol, 0)
+        assert type(got.details["refine_tol"]) is float
+        assert got.to_json() == plane_truncation_search(c, "reduce_any", (4, 4), float(tol), 0).to_json()
 
     def test_capped_cylinder_reduce_u_not_found(self):
         # Any planar cut leaves rim vertices that are themselves distance

@@ -209,6 +209,12 @@ class TestAreaOutsideDisk:
         p = unit_square()
         assert area_outside_disk(p, (0.5, 0.5), 1.0) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("r", [-1e-12, math.nan, -math.inf])
+    def test_radius_must_be_nonnegative(self, r):
+        # NaN used to give a NaN area.
+        with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+            area_outside_disk(unit_square(), (0.5, 0.5), r)
+
     def test_monotone_in_radius(self, rng):
         for _ in range(20):
             poly = random_convex_polygon(rng, int(rng.integers(3, 10)))
@@ -253,6 +259,12 @@ class TestStripCover:
     def test_square_center_too_big(self):
         p = regular_ngon(4)
         assert not strip_cover_admits(p, (0.0, 0.0), 0.13)
+
+    @pytest.mark.parametrize("rho", [-1e-12, math.nan, -math.inf])
+    def test_radius_must_be_nonnegative(self, rho):
+        # NaN used to be admitted.
+        with pytest.raises(ValueError, match="^rho must be nonnegative$"):
+            strip_cover_admits(regular_ngon(4), (0.0, 0.0), rho)
 
     def test_zero_radius_always_true(self, rng):
         for _ in range(20):

@@ -577,6 +577,12 @@ class TestGenerators:
             with pytest.raises(ValueError, match="^facets must be an integer of at least 32$"):
                 generator_truncated_cylinder(1, 3, facets=facets)
 
+    @pytest.mark.parametrize("facets", [16, 40.5, 32.0, True, "32"])
+    def test_ellipsoid_facet_validation(self, facets):
+        # 40.5 used to build a 22-point mesh.
+        with pytest.raises(ValueError, match="^facets must be an integer of at least 32$"):
+            generator_ellipsoid_mesh(1, 2, 3, facets=facets)
+
     def test_ellipsoid_mesh_volume(self):
         E = generator_ellipsoid_mesh(1.0, 4.0, 16.0, facets=2000)
         assert len(E.faces) == 2000

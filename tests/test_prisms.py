@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from equirobust.equilib2d import equilibria
-from equirobust.equilib3d import _CutEvaluator3, classify3, rho_in_exact_3d
+from equirobust.equilib3d import _CutEvaluator3, classify3, rho_in_exact_3d, rho_in_sampled_3d
 from equirobust.geom2d import regular_ngon
 from equirobust.geom3d import centroid3, polyhedron_new, surface_area
 from equirobust.robust2d import _CutEvaluator, rho_in_exact
@@ -113,3 +113,15 @@ class TestInternalRobustness:
         assert checked + skipped == 300 and skipped <= 3
         # The edge lines are the nearest wall on some prisms.
         assert margin_wins > 0
+
+    def test_sampled_distance_is_no_nearer_than_the_nearest_wall(self):
+        # The sampled walk stops at the first count change it finds along
+        # each direction, which lies on or beyond the nearest wall.  No prism
+        # is skipped: the inequality holds at ties too.
+        for Q, h in _cases(7, 32):
+            c = Q.centroid
+            want = min(rho_in_exact(Q, c).value * Q.perimeter, h / 2, Q.interior_margin(c))
+            P = prism(Q, h)
+            rep = rho_in_sampled_3d(P, centroid3(P), directions=128)
+            raw = rep.value * math.sqrt(rep.details["surface_area"])
+            assert raw >= want - 1e-9 * P.scale, (Q.vertices, h, raw, want)

@@ -3,7 +3,8 @@
 The cut properties work at the tolerance scale: every cut passes within a few
 ``eps`` of a vertex, along a drawn direction or parallel to an edge or face,
 where the clips snap, merge and drop points and the counts sit on their
-tolerance edges.
+tolerance edges.  The line search property draws polygons a few ``eps`` off
+regular, and bisects down to tolerances below the offsets' spacing.
 """
 
 import math
@@ -25,7 +26,13 @@ from equirobust.geom3d import (  # noqa: E402
     generator_truncated_cylinder,
     platonic,
 )
-from equirobust.robust2d import TruncationSweep, _CutEvaluator, _piece_stable, summarize_sweep  # noqa: E402
+from equirobust.robust2d import (  # noqa: E402
+    TruncationSweep,
+    _CutEvaluator,
+    _piece_stable,
+    full_robustness_line_bound,
+    summarize_sweep,
+)
 
 from conftest import assert_summary_is_reference, face_normal_error, random_convex_polygon, random_hull3  # noqa: E402
 from test_cut_evaluator3 import _scalar  # noqa: E402
@@ -99,6 +106,52 @@ def test_2d_evaluator_is_the_scalar_path_at_the_tolerance_scale(drawn):
         s = _piece_stable(P, piece)
         assert np.float64(kept[i]).view(np.int64) == np.float64(want).view(np.int64)
         assert counts[i] == (-1 if s is None else s)
+
+
+@st.composite
+def _line_searches(draw):
+    """(P, grid_theta, grid_offset, refine_tol): a random convex polygon or a
+    regular one with vertices moved by up to 6 ``eps``, some shifted far from
+    the origin, and a grid of up to 8 x 12."""
+    n = draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        xy = np.asarray(random_convex_polygon(rng, n).vertices)
+    else:
+        P = regular_ngon(n)
+        xy = np.asarray(P.vertices) + rng.integers(-6, 7, size=(n, 2)) * P.eps
+    shift = draw(st.sampled_from([0.0, 0.0, 1e3, 1e4, 1e5]))
+    angle = draw(st.floats(0.0, 2 * math.pi))
+    P = ConvexPolygon2(xy + shift * np.array([math.cos(angle), math.sin(angle)]))
+    return P, draw(st.integers(1, 8)), draw(st.integers(1, 12)), draw(st.sampled_from([1e-4, 1e-7, 1e-300]))
+
+
+def _line_search(P, *args):
+    """The line search's report and its JSON, or None and the documented exception."""
+    try:
+        rep = full_robustness_line_bound(P, *args)
+    except GeometryError as exc:
+        return None, repr(exc)
+    return rep, rep.to_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_line_searches())
+def test_line_search_stop_rule_keeps_every_byte_and_its_witness_reduces(drawn):
+    # The stop rule drops only brackets that end above the witness, so the
+    # report is that of bisecting every bracket (delta = inf stops none).
+    P, *args = drawn
+    rep, got = _line_search(P, *args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_CutEvaluator, "delta", math.inf)
+        assert _line_search(P, *args)[1] == got
+    if rep is not None and rep.status == "ok":
+        w = rep.witness
+        m = w["side"] * np.array([math.cos(w["theta"]), math.sin(w["theta"])])
+        piece = clip_halfplane_nd(P, m[0], m[1], w["side"] * w["offset"])
+        S = _piece_stable(P, piece)
+        assert piece is not None and piece is not P and S is not None and S < rep.details["S"]
+        assert abs(1.0 - piece.area / P.area - w["relative_area_removed"]) <= 1e-12
 
 
 @lru_cache(maxsize=None)

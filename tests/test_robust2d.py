@@ -182,6 +182,13 @@ class TestInternalSampled:
         with pytest.raises(ValueError, match="^tol_step must be a positive finite number$"):
             rho_in_sampled(unit_square(), (0.5, 0.5), tol_step=tol_step)
 
+    def test_numpy_float_tol_step_is_stored_as_float(self):
+        # A float32 used to reach the report and fail its JSON.
+        tol = np.float32(1e-6)
+        rep = rho_in_sampled(unit_square(), (0.5, 0.5), directions=16, tol_step=tol)
+        assert type(rep.details["tol"]) is float
+        assert rep.to_json() == rho_in_sampled(unit_square(), (0.5, 0.5), directions=16, tol_step=float(tol)).to_json()
+
     def test_one_direction_is_enough(self):
         rep = rho_in_sampled(unit_square(), (0.5, 0.5), directions=1)
         assert rep.details["directions"] == 1

@@ -571,50 +571,50 @@ class TestSearchHelpers:
         assert (j, side) == (0, -1) and math.copysign(1.0, offset) == 1.0
 
     @staticmethod
-    def _recording():
+    def _recording(cells):
         calls = []
 
         def evaluate(f, e):
             calls.append(list(zip(f.tolist(), e.tolist())))
             return e * 2.0, f + 1
 
+        evaluate.cells = cells
         return calls, evaluate
 
     def test_cached_cuts_speculate_within_the_budget(self):
-        calls, evaluate = self._recording()
+        calls, evaluate = self._recording(100)
         cache: dict = {}
         ahead = [(0, 0.25), (1, 0.5), (0, 0.75)]
         # Two keys of 100 cells: 600 cells, within the budget.
-        got = util.cached_cuts(evaluate, cache, [(0, 0.5), (1, 0.5)], lambda: ahead, 100)
+        got = util.cached_cuts(evaluate, cache, [(0, 0.5), (1, 0.5)], lambda: ahead)
         assert calls == [[(0, 0.5), (1, 0.5), (0, 0.25), (0, 0.75)]]
         assert [a.tolist() for a in got] == [[1.0, 1.0], [1, 2]]
         # The next step finds its cuts cached: no call, and ``ahead`` unused.
-        got = util.cached_cuts(evaluate, cache, [(0, 0.75), (0, 0.25)], lambda: 1 / 0, 100)
+        got = util.cached_cuts(evaluate, cache, [(0, 0.75), (0, 0.25)], lambda: 1 / 0)
         assert len(calls) == 1
         assert [a.tolist() for a in got] == [[1.5, 0.5], [1, 1]]
 
     def test_cached_cuts_above_the_budget_take_only_the_step(self):
-        calls, evaluate = self._recording()
+        calls, evaluate = self._recording(util.SPECULATE_CELLS // 6 + 1)
         cache: dict = {}
-        cells = util.SPECULATE_CELLS // 6 + 1
         keys = [(0, 0.5), (3, 0.5)]
-        util.cached_cuts(evaluate, cache, keys, lambda: [(0, 0.25)], cells)
+        util.cached_cuts(evaluate, cache, keys, lambda: [(0, 0.25)])
         assert calls == [keys]
         # A step with one new key calls for that key alone, and the budget
         # counts every key of the step.
-        util.cached_cuts(evaluate, cache, keys + [(2, 0.5)], lambda: [(0, 0.25)], cells)
+        util.cached_cuts(evaluate, cache, keys + [(2, 0.5)], lambda: [(0, 0.25)])
         assert calls[1:] == [[(2, 0.5)]]
-        util.cached_cuts(evaluate, cache, [(1, 0.5)], lambda: [(0, 0.25)], cells)
+        util.cached_cuts(evaluate, cache, [(1, 0.5)], lambda: [(0, 0.25)])
         assert calls[2:] == [[(1, 0.5), (0, 0.25)]]
 
     def test_cached_cuts_evaluate_no_key_twice(self):
         rng = np.random.default_rng(37)
-        calls, evaluate = self._recording()
+        calls, evaluate = self._recording(10)
         cache: dict = {}
         for _ in range(50):
             keys = list(zip(rng.integers(0, 4, 6).tolist(), (rng.integers(0, 8, 6) / 8).tolist()))
             extra = list(zip(rng.integers(0, 4, 6).tolist(), (rng.integers(0, 8, 6) / 8).tolist()))
-            got = util.cached_cuts(evaluate, cache, keys, lambda: extra, 10)
+            got = util.cached_cuts(evaluate, cache, keys, lambda: extra)
             assert got[0].tolist() == [2.0 * e for _, e in keys]
         seen = [key for call in calls for key in call]
         assert len(seen) == len(set(seen)) == len(cache)
