@@ -270,11 +270,12 @@ def bounding_box_predicates(P: ConvexPolyhedron3, box: BoundingBox) -> dict:
 
 
 def centroid_quarter_width_check(P: ConvexPolyhedron3, box: BoundingBox) -> bool:
-    """Centroid keeps at least a quarter of each box width from both box faces."""
+    """Centroid keeps at least a quarter of each box width from both box faces,
+    to within the body's ``eps``."""
     g = np.asarray(centroid3(P))
     rel = box.frame.T @ (g - np.asarray(box.center))
     for i, h in enumerate(box.half_extents):
-        if h - abs(rel[i]) < h / 2.0 - 1e-9:
+        if h - abs(rel[i]) < h / 2.0 - P.eps:
             return False
     return True
 

@@ -373,9 +373,12 @@ def area_outside_disk(P: ConvexPolygon2, center: Sequence[float], r: float) -> f
     """Exact area of the part of ``P`` at distance greater than ``r`` from ``center``."""
     if not r >= 0.0:
         raise ValueError("radius must be nonnegative")
+    cx, cy = float(center[0]), float(center[1])
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise ValueError("center must be finite")
     if r == 0.0:
         return P.area
-    inside = _disk_intersection_area(P.vertices, float(center[0]), float(center[1]), r)
+    inside = _disk_intersection_area(P.vertices, cx, cy, r)
     return max(P.area - inside, 0.0)
 
 
@@ -395,6 +398,8 @@ def strip_cover_admits(P: ConvexPolygon2, q: Sequence[float], rho: float) -> boo
     if not rho >= 0.0:
         raise ValueError("rho must be nonnegative")
     qx, qy = float(q[0]), float(q[1])
+    if not (math.isfinite(qx) and math.isfinite(qy)):
+        raise ValueError("q must be finite")
     slack = tol.EPS_COVER * max(1.0, P.diameter)
     for (ax, ay), (bx, by) in P.edges():
         v1x, v1y = qx - ax, qy - ay

@@ -276,9 +276,7 @@ def _piece_stable(P: ConvexPolygon2, piece: Optional[ConvexPolygon2]) -> Optiona
     return eq.S
 
 
-#: Largest polygon the batched evaluator takes: its run-diameter table stays under 1 MB.
-_CUT_MAX_VERTICES = 350
-#: Coordinate range it takes, so that no square underflows and no product overflows.
+#: Coordinate range the batched evaluator takes, so that no square underflows and no product overflows.
 _CUT_SCALE_RANGE = (1e-100, 1e100)
 #: Decisions that divide by an edge length are certified this far, in piece
 #: diameters, from their threshold: a length from ``np.sqrt`` may differ from
@@ -307,8 +305,19 @@ class _CutEvaluator:
     :func:`equilibria` become masked reductions.  A row takes the scalar path
     instead when its ring is one the cleanup would change, when a decision
     made with a rounded length or area lies too close to its threshold to
-    certify, or when it is not finite; so do all rows of a polygon with more
-    than ``_CUT_MAX_VERTICES`` vertices or outside ``_CUT_SCALE_RANGE``.
+    certify, or when it is not finite; so do all rows of a polygon outside
+    ``_CUT_SCALE_RANGE``.
+
+    The piece's tolerances scale with the squared diameter ``_max_pairwise_sq``
+    gives, which is bracketed from the ring's box widths ``wx``, ``wy``:
+    ``lo_sq = max(wx², wy²)``, as the x-extreme pair's ``dx`` is ±``wx`` bit
+    for bit and adding ``dy² >= 0`` cannot round down; ``hi_sq = min(wx² +
+    wy², D² + 2⁻⁴⁰ R²)`` (D the polygon's diameter, R ``reach``), as rounding
+    is monotone and no piece is wider than its polygon but for the crossing
+    points' rounding.  The merge and turn tests and ``big`` are certified
+    against ``hi_sq``, ``small`` and ``outside`` against ``lo_sq``, and the
+    foot tests away from the tolerances between, so a certified row's
+    results hold wherever in the bracket the scalar's diameter lies.
     """
 
     def __init__(self, P: ConvexPolygon2, M):
@@ -324,9 +333,7 @@ class _CutEvaluator:
         # Two sequential sums of the same L <= n + 1 shoelace terms, each
         # at most 2 reach^2, differ by less than 2 (L - 1) u sum|terms|.
         self.area_slack = 4.0 * (P.n + 1) ** 2 * 2.0**-53 * self.reach * self.reach
-        self.batched = P.n <= _CUT_MAX_VERTICES and _CUT_SCALE_RANGE[0] <= P.diameter and self.reach <= _CUT_SCALE_RANGE[1]
-        if self.batched:
-            self.run_diam_sq = self._run_table(xy[:, 0], xy[:, 1])
+        self.batched = _CUT_SCALE_RANGE[0] <= P.diameter and self.reach <= _CUT_SCALE_RANGE[1]
 
     @cached_property
     def delta(self) -> float:
@@ -348,23 +355,6 @@ class _CutEvaluator:
         crossing = 128.0 * 2.0**-52 * self.reach * D
         cleanup = 5.0 * (self.P.n + 2) * tol.EPS_GEOM * D * D
         return 2.0 * ((self.area_slack + crossing + cleanup) / self.total + 2.0**-52)
-
-    @staticmethod
-    def _run_table(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Entry ``[a, l]``: the largest squared distance among the ``l``
-        cyclically consecutive vertices from ``a``.  A squared difference is
-        symmetric in floating point, so each entry equals ``_max_pairwise_sq``."""
-        n = len(X)
-        dx = X[None, :] - X[:, None]
-        dy = Y[None, :] - Y[:, None]
-        dist = dx * dx + dy * dy
-        a = np.arange(n)
-        # reach[j, s]: the largest squared distance from j to the s vertices before it.
-        reach = np.maximum.accumulate(dist[a[:, None], (a[:, None] - a) % n], axis=1)
-        table = np.zeros((n, n + 1))
-        # The run of l = s + 1 vertices from a adds vertex a + s to the one of length s.
-        table[:, 1:] = np.maximum.accumulate(reach[(a[:, None] + a) % n, a], axis=1)
-        return table
 
     def __call__(self, fam, e) -> tuple[np.ndarray, np.ndarray]:
         nx, ny = self.M[np.asarray(fam, dtype=np.intp).reshape(-1)].T
@@ -451,13 +441,12 @@ class _CutEvaluator:
         VX, VY = RX[:, 1:-1], RY[:, 1:-1]
         valid = np.arange(n + 1) < size[:, None]
 
-        # Squared diameter: the kept run from the table, then every pair with
-        # a crossing point.
-        diam_sq = self.run_diam_sq[a, k]
-        for has, cx, cy in ((has_in, inx, iny), (has_out, outx, outy)):
-            dx = VX - cx[:, None]
-            dy = VY - cy[:, None]
-            diam_sq = np.maximum(diam_sq, np.where(valid & has[:, None], dx * dx + dy * dy, 0.0).max(1))
+        # The squared diameter the cleanup computes lies in [lo_sq, hi_sq]
+        # (see the class docstring); every ring slot holds a ring point.
+        wx = RX.max(1) - RX.min(1)
+        wy = RY.max(1) - RY.min(1)
+        lo_sq = np.maximum(wx * wx, wy * wy)
+        hi_sq = np.minimum(wx * wx + wy * wy, self.P.diameter**2 + 2.0**-40 * self.reach**2)
 
         # Edge j + 1 runs from ring point j to the next, edge j into point j.
         # The cleanup changes nothing when no neighbours are within the merge
@@ -466,9 +455,9 @@ class _CutEvaluator:
         EYW = np.diff(RY, axis=1)
         EX, EY, PX, PY = EXW[:, 1:], EYW[:, 1:], EXW[:, :-1], EYW[:, :-1]
         LSQ = EXW * EXW + EYW * EYW
-        root = tol.EPS_GEOM * np.sqrt(diam_sq)
-        merge_hi = root * root * (1.0 + 1e-12)  # above the scalar's (...)**2 by more than its rounding
-        cross_tol = 2.0 * tol.EPS_GEOM * diam_sq
+        eps_hi = tol.EPS_GEOM * np.sqrt(hi_sq)
+        merge_hi = eps_hi * eps_hi * (1.0 + 1e-12)  # above the scalar's (...)**2 by more than its rounding
+        cross_tol = 2.0 * tol.EPS_GEOM * hi_sq
         clean = (~valid | ((LSQ[:, 1:] > merge_hi[:, None]) & (PX * EY - PY * EX > cross_tol[:, None]))).all(1)
 
         # Area and centroid from the canonical start.  The cleanup's floor test
@@ -479,21 +468,20 @@ class _CutEvaluator:
         terms[:, 0] += 0.0  # the scalar sums start from +0.0
         sums = np.cumsum(terms, 1)[r, last]
         area = 0.5 * sums[:, 0]
-        floor = _AREA_FLOOR * diam_sq
-        big = area > floor + self.area_slack
-        small = area <= floor - self.area_slack
+        big = area > _AREA_FLOOR * hi_sq + self.area_slack
+        small = area <= _AREA_FLOOR * lo_sq - self.area_slack
         six_a = 6.0 * area
         px = sums[:, 1] / six_a
         py = sums[:, 2] / six_a
 
         # Classification at the centroid: the interior margin, each foot's
         # position along its edge (also the next-edge projection of the
-        # unstable-vertex test) and the projection on the previous edge.
-        diam = np.sqrt(diam_sq)
-        eps_p = tol.EPS_GEOM * diam
-        slack = _LENGTH_SLACK * diam
-        ep = eps_p[:, None]
-        sl = slack[:, None]
+        # unstable-vertex test) and the projection on the previous edge, each
+        # sure when outside the band of tolerances the bracket allows.
+        slack = _LENGTH_SLACK * np.sqrt(hi_sq)
+        band_lo = tol.EPS_GEOM * np.sqrt(lo_sq) - slack
+        band_hi = eps_hi + slack
+        ep = eps_hi[:, None]
         LENW = np.sqrt(LSQ)
         LEN = LENW[:, 1:]
         ax = px[:, None] - VX
@@ -502,9 +490,9 @@ class _CutEvaluator:
         foot = (ax * EX + ay * EY) / LEN
         back = (ax * -PX + ay * -PY) / LENW[:, :-1]
         af, ab, ad = np.abs(foot), np.abs(back), np.abs(foot - LEN)
-        near = valid & ((np.abs(af - ep) <= sl) | (np.abs(ab - ep) <= sl) | (np.abs(ad - ep) <= sl))
-        outside = margin < eps_p - slack
-        sure = outside | ((margin > eps_p + slack) & ~near.any(1))
+        near = valid & np.any([(v >= band_lo[:, None]) & (v <= band_hi[:, None]) for v in (af, ab, ad)], 0)
+        outside = margin < band_lo
+        sure = outside | ((margin > band_hi) & ~near.any(1))
         stable = valid & (foot > ep) & (foot < LEN - ep)
         unstable = valid & (back > ep) & (foot > ep)
         # A clean ring's edges exceed 2 eps (a shorter one fails the turn

@@ -64,6 +64,8 @@ GOLDEN = {
         "88ffb787b52241957d6a6ff0fe3c3660461207bb8d06fac17339d145d56e6a84",
     "robust --builtin ngon:64 --kind full-line":
         "56ff5b6069c03cfac27933d4af9b2b2f7d66e7a2d394ad4921b631f73a0fe259",
+    "robust --builtin ngon:400 --kind full-line --grid-theta 12 --grid-offset 8":
+        "d84b55eb5ca752672b081261bfab3d8b16637dbfebf141525923dbf247923dbf",
     "robust --builtin cube --kind partial-s --seed 5":
         "4024e6d5f6e3fa2235cdf258892fed7d092612b6e903ff5efc7b268e8a32dde0",
     "robust --builtin octa --kind partial-u --seed 2":
@@ -105,6 +107,8 @@ GOLDEN = {
         "240d1342a91327cf4bfc8ebb0b7ded1b43f92561a2ce4f4c1b777c24d7d3bdfe",
     "sweep --builtin ngon:9 --samples 300 --seed 4 --out <OUT>":
         "f9aeafbd6bee5a86baa4cc6e9e902341a72e0afcee1bee788699451e13b2d937",
+    "sweep --builtin ngon:400 --samples 40 --seed 3":
+        "627d92d707a1c4e403b5f008fd061fe9769d4d9d858d1efba963c9f5a7d21e54",
     "sweep --builtin square --samples 10 --seed 1 --bins 0":
         "c9288030164e0eda2a9fc87cda3c2a5affcce517a70154352fc95892390f73c8",
     "sweep --builtin square --samples 10 --seed -1":

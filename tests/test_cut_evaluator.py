@@ -17,7 +17,7 @@ from equirobust import robust2d
 from equirobust.cli import main
 from equirobust.equilib2d import equilibria
 from equirobust.errors import DegenerateConfiguration, DegenerateInput
-from equirobust.geom2d import ConvexPolygon2, _max_pairwise_sq, clip_halfplane_nd, regular_ngon
+from equirobust.geom2d import ConvexPolygon2, clip_halfplane_nd, regular_ngon
 from equirobust.reports import RobustnessReport
 from equirobust.robust2d import (
     TruncationSweep,
@@ -198,7 +198,7 @@ class TestAgainstScalarPath:
         # where a foot or vertex test sits on its tolerance edge, so these
         # rows must be certified or handed to the scalar path.
         before = count_scalar[0]
-        for P in _regular_and_random(rng, (3, 5, 8)):
+        for P in _regular_and_random(rng, (3, 4, 5, 6, 7, 8)):
             got = full_robustness_line_bound(P, 6, 8, 1e-300).to_json()
             assert got == _line_bound_reference(P, 6, 8, 1e-300).to_json()
         assert count_scalar[0] > before
@@ -239,15 +239,28 @@ class TestAgainstScalarPath:
         assert want[0] is DegenerateInput and got == want
 
     def test_polygons_outside_batched_range_take_scalar_path(self, count_scalar):
-        # More vertices than the run-diameter table allows, and coordinates
-        # beyond the range where no product can overflow.
-        for P in (regular_ngon(robust2d._CUT_MAX_VERTICES + 1), ConvexPolygon2([(0, 0), (1e120, 0), (0, 1e120)])):
-            lo, hi = P.support_interval(0.6, 0.8)
-            ds = list(np.linspace(lo, hi, 5))
-            before = count_scalar[0]
-            got = _as_scalar_path(*_evaluate(P, [0.6] * 5, [0.8] * 5, ds))
-            assert count_scalar[0] - before == 5
-            assert got == [_evaluate_cut(P, P.area, 0.6, 0.8, d) for d in ds]
+        # Coordinates beyond the range where no product can overflow.
+        P = ConvexPolygon2([(0, 0), (1e120, 0), (0, 1e120)])
+        lo, hi = P.support_interval(0.6, 0.8)
+        ds = list(np.linspace(lo, hi, 5))
+        got = _as_scalar_path(*_evaluate(P, [0.6] * 5, [0.8] * 5, ds))
+        assert count_scalar[0] == 5
+        assert got == [_evaluate_cut(P, P.area, 0.6, 0.8, d) for d in ds]
+
+    def test_polygons_above_350_vertices_are_batched(self, count_scalar):
+        # No vertex count sends a polygon to the scalar path: the regular
+        # 351-gon's line search takes no row there, and the random 400-gon,
+        # whose flattest turns lie near the cleanup's tolerance, only some.
+        # The references run on coarser grids, as their clips of these
+        # polygons cost milliseconds each.
+        P = regular_ngon(351)
+        full_robustness_line_bound(P, 12, 48, 1e-6)
+        assert count_scalar[0] == 0
+        Q = random_convex_polygon(np.random.default_rng(400), 400)
+        for R, grid in ((P, (6, 8)), (Q, (4, 6))):
+            assert full_robustness_line_bound(R, *grid, 1e-6).to_json() == _line_bound_reference(R, *grid, 1e-6).to_json()
+            got, _ = truncation_sweep(R, 40, seed=3)
+            assert sweep_csv(got) == sweep_csv(_truncation_sweep_reference(R, 40, seed=3)[0])
 
     def test_random_sweep_rows_rarely_take_scalar_path(self, rng, count_scalar):
         rows = 0
@@ -257,65 +270,11 @@ class TestAgainstScalarPath:
         assert count_scalar[0] < 0.01 * rows
 
 
-def _block_max_reference(X, Y):
-    """Every cyclic window's largest squared distance, as ``_max_pairwise_sq``
-    forms it (point j minus point i, i before j), from one block-maximum
-    pass per start: the window of l points from a is the leading l x l block."""
-    n = len(X)
-    ref = np.zeros((n, n + 1))
-    for a in range(n):
-        idx = (a + np.arange(n)) % n
-        dx = X[idx][None, :] - X[idx][:, None]
-        dy = Y[idx][None, :] - Y[idx][:, None]
-        D = np.triu(dx * dx + dy * dy, 1)
-        ref[a, 1:] = np.diagonal(np.maximum.accumulate(np.maximum.accumulate(D, 0), 1))
-    return ref
-
-
-class TestRunTable:
-    """``_CutEvaluator._run_table`` against ``_max_pairwise_sq``, bit for bit."""
-
-    @staticmethod
-    def _windows(table, X, Y, starts, lengths):
-        pts = list(zip(X.tolist(), Y.tolist()))
-        n = len(pts)
-        for a in starts:
-            for l in lengths:
-                window = [pts[(a + i) % n] for i in range(l)]
-                assert table[a, l].view(np.int64) == np.float64(_max_pairwise_sq(window)).view(np.int64), (n, a, l)
-
-    @pytest.mark.parametrize("end", [None, 0, 1], ids=["unit", "smallest", "largest"])
-    def test_every_window_of_small_polygons(self, rng, end):
-        lo, hi = robust2d._CUT_SCALE_RANGE
-        for P in _regular_and_random(rng, (3, 4, 5, 6, 7, 8, 12, 17, 24)):
-            xy = np.asarray(P.vertices)
-            # Diameter twice the least, or reach half the most, the evaluator takes.
-            scale = {None: 1.0, 0: 2.0 * lo / P.diameter, 1: 0.5 * hi / np.abs(xy).max()}[end]
-            X, Y = (scale * xy).T
-            n = P.n
-            self._windows(_CutEvaluator._run_table(X, Y), X, Y, range(n), range(n + 1))
-
-    @pytest.mark.parametrize("n", [48, 64, 129, 200, robust2d._CUT_MAX_VERTICES])
-    def test_every_window_of_large_polygons(self, rng, n):
-        # Calling _max_pairwise_sq on all n (n + 1) windows of a 350-gon
-        # would take minutes: every window is read against the block
-        # maximum, and the short, the full and some random windows against
-        # _max_pairwise_sq itself.
-        for P in (regular_ngon(n), random_convex_polygon(rng, n)):
-            X, Y = np.asarray(P.vertices).T
-            table = _CutEvaluator._run_table(X, Y)
-            assert (table.view(np.int64) == _block_max_reference(X, Y).view(np.int64)).all()
-            self._windows(table, X, Y, range(n), range(6))
-            self._windows(table, X, Y, [0, n - 1], [n])
-            for a, l in zip(rng.integers(0, n, 12).tolist(), rng.integers(6, n, 12).tolist()):
-                self._windows(table, X, Y, [a], [l])
-
-
 class TestChunks:
     """The evaluator's chunk bounds memory only: a batch gives every row the
     bits that the same cut gives alone, and that the scalar path gives."""
 
-    @pytest.mark.parametrize("n", [3, 64, robust2d._CUT_MAX_VERTICES])
+    @pytest.mark.parametrize("n", [3, 64, 350, 401])
     def test_batch_over_three_chunks_matches_single_cuts(self, rng, monkeypatch, n):
         P = regular_ngon(n) if n % 2 else random_convex_polygon(rng, n)
         rows = BLOCK_CELLS // (n + 3)
@@ -399,12 +358,13 @@ class TestLineGridRounds:
         assert (got.status == "no_reduction_found") == (calls == [])
 
     def test_scalar_polygon_reads_in_rounds(self, sizes, count_scalar):
-        # Above _CUT_MAX_VERTICES every cut takes the scalar path; the rounds
-        # still read SPECULATE_CELLS // 403 = 10 cuts.
-        P = regular_ngon(400)
-        got = full_robustness_line_bound(P, 3, 5, 1e-6)
+        # Below _CUT_SCALE_RANGE every cut takes the scalar path; the rounds
+        # still read SPECULATE_CELLS // 403 = 10 cuts.  The unit-perimeter
+        # 400-gon and the tolerance are both scaled by 1e-100.
+        P = ConvexPolygon2(np.asarray(regular_ngon(400).vertices) * 1e-100)
+        got = full_robustness_line_bound(P, 3, 5, 1e-106)
         assert sizes == [10] + [6] * 16 and count_scalar[0] == sum(sizes)
-        assert got.to_json() == _line_bound_reference(P, 3, 5, 1e-6).to_json()
+        assert got.to_json() == _line_bound_reference(P, 3, 5, 1e-106).to_json()
 
 
 class TestLineSearchArguments:

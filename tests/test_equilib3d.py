@@ -457,6 +457,14 @@ class TestBoxPredicates:
         T = hull3([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert centroid_quarter_width_check(T, aabb(T))
 
+    @pytest.mark.parametrize("scale", [1e-3, 1e3, 1e6, 1e9])
+    def test_quarter_width_extremal_corner_tetra_at_any_scale(self, scale):
+        # The equality case scaled and shifted: an absolute slack of 1e-9
+        # used to refuse it from a scale of 1e6 on.
+        corner = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], dtype=float)
+        T = hull3(corner * scale + 7.0 * scale)
+        assert centroid_quarter_width_check(T, aabb(T))
+
     def test_quarter_width_randomized(self, rng):
         for _ in range(40):
             P = random_hull3(rng, 15)

@@ -215,6 +215,13 @@ class TestAreaOutsideDisk:
         with pytest.raises(ValueError, match="^radius must be nonnegative$"):
             area_outside_disk(unit_square(), (0.5, 0.5), r)
 
+    @pytest.mark.parametrize("c", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)])
+    @pytest.mark.parametrize("r", [0.0, 0.1])
+    def test_center_must_be_finite(self, c, r):
+        # A NaN or infinite center used to give a NaN area.
+        with pytest.raises(ValueError, match="^center must be finite$"):
+            area_outside_disk(regular_ngon(6), c, r)
+
     def test_monotone_in_radius(self, rng):
         for _ in range(20):
             poly = random_convex_polygon(rng, int(rng.integers(3, 10)))
@@ -265,6 +272,13 @@ class TestStripCover:
         # NaN used to be admitted.
         with pytest.raises(ValueError, match="^rho must be nonnegative$"):
             strip_cover_admits(regular_ngon(4), (0.0, 0.0), rho)
+
+    @pytest.mark.parametrize("q", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)])
+    @pytest.mark.parametrize("rho", [0.0, 0.1])
+    def test_q_must_be_finite(self, q, rho):
+        # A NaN or infinite q used to be refused without an error.
+        with pytest.raises(ValueError, match="^q must be finite$"):
+            strip_cover_admits(regular_ngon(4), q, rho)
 
     def test_zero_radius_always_true(self, rng):
         for _ in range(20):

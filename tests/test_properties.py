@@ -33,6 +33,7 @@ from equirobust.robust2d import (  # noqa: E402
     full_robustness_line_bound,
     summarize_sweep,
 )
+from equirobust.tol import EPS_GEOM  # noqa: E402
 
 from conftest import assert_summary_is_reference, face_normal_error, random_convex_polygon, random_hull3  # noqa: E402
 from test_cut_evaluator3 import _scalar  # noqa: E402
@@ -66,17 +67,30 @@ def test_summary_matches_the_per_category_reference(drawn):
 
 @st.composite
 def _polygon_cuts(draw):
-    """(P, M, fam, e): a regular, near-regular or random polygon, unit
-    normals drawn or perpendicular to an edge, and cuts through its vertices."""
-    n = draw(st.integers(3, 16))
+    """(P, M, fam, e): a regular, near-regular, near-flat, random or large
+    polygon, unit normals drawn or perpendicular to an edge, and cuts through
+    its vertices.  A near-flat polygon is a regular one with a vertex added
+    just outside an edge's midpoint, turning by 1.05 to 4 ``EPS_GEOM D²``,
+    where the cleanup's turn test reads the piece's diameter; a large one,
+    regular or near-regular, has 351 to 520 vertices and at most 4 cuts."""
+    kind = draw(st.sampled_from(["regular", "near-regular", "near-flat", "random", "large"]))
+    n = draw(st.integers(351, 520) if kind == "large" else st.integers(3, 16))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["regular", "near-regular", "random"]))
     if kind == "random":
         P = random_convex_polygon(rng, n)
     else:
         P = regular_ngon(n)
-        if kind == "near-regular":
-            P = ConvexPolygon2(np.asarray(P.vertices) + rng.normal(size=(n, 2)) * 4 * P.eps)
+        xy = np.asarray(P.vertices)
+        if kind == "near-regular" or (kind == "large" and draw(st.booleans())):
+            P = ConvexPolygon2(xy + rng.normal(size=(n, 2)) * 4 * P.eps)
+        elif kind == "near-flat":
+            j = draw(st.integers(0, n - 1))
+            (ax, ay), (bx, by) = xy[j], xy[(j + 1) % n]
+            length = math.hypot(bx - ax, by - ay)
+            h = draw(st.floats(1.05, 4.0)) * EPS_GEOM * P.diameter**2 / length  # the new turn is length * h
+            mid = (0.5 * (ax + bx) + h * (by - ay) / length, 0.5 * (ay + by) - h * (bx - ax) / length)
+            P = ConvexPolygon2(np.insert(xy, j + 1, mid, axis=0))
+    n = P.n
     xy = np.asarray(P.vertices)
     normals = []
     for _ in range(draw(st.integers(1, 3))):
@@ -89,7 +103,8 @@ def _polygon_cuts(draw):
             side = draw(st.sampled_from([1.0, -1.0]))
             normals.append((side * ey / math.hypot(ex, ey), -side * ex / math.hypot(ex, ey)))
     M = np.array(normals)
-    cuts = draw(st.lists(st.tuples(st.integers(0, len(M) - 1), st.integers(0, n - 1), _STEPS), min_size=1, max_size=64))
+    cut = st.tuples(st.integers(0, len(M) - 1), st.integers(0, n - 1), _STEPS)
+    cuts = draw(st.lists(cut, min_size=1, max_size=4 if kind == "large" else 64))
     fam = np.array([f for f, _, _ in cuts])
     e = np.array([M[f] @ xy[j] + k * scale * P.eps for f, j, (k, scale) in cuts])
     return P, M, fam, e
